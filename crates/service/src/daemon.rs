@@ -153,7 +153,7 @@ fn stats_line(id: &str, service: &Service) -> String {
             "\"evictions\":{},\"disk_hits\":{},\"salvaged\":{},",
             "\"uptime_jobs_completed\":{},\"queue_depth\":{},",
             "\"jobs_queued\":{},\"jobs_running\":{},\"jobs_panicked\":{},",
-            "\"telemetry\":[{}]}}"
+            "\"lake_files\":{},\"lake_opens\":{},\"telemetry\":[{}]}}"
         ),
         id,
         s.submitted,
@@ -173,6 +173,8 @@ fn stats_line(id: &str, service: &Service) -> String {
         p.jobs_queued,
         p.jobs_running(),
         p.jobs_panicked,
+        s.lake_files,
+        s.lake_opens,
         telemetry.join(","),
     )
 }
@@ -213,17 +215,17 @@ fn events_lines(id: &str, service: &Service, since_seq: u64, max: u64, stable: b
 /// renders. An unconfigured directory or a failing scan answers with an
 /// error line — never a panic, never a partial report.
 fn query_line(id: &str, service: &Service, req: &QueryRequest) -> String {
-    let Some(dir) = service.trace_dir() else {
+    let Some(lake) = service.lake() else {
         return error_line(&ProtocolError {
             id: id.to_string(),
             message: "no trace directory configured (start the daemon with --trace-dir)".into(),
         });
     };
-    match dram_trace::query_path(&dir, &req.to_query()) {
+    match lake.query(&req.to_query()) {
         Ok(report) => format!(
             "{{\"resp\":\"query\",\"id\":{},\"dir\":{},\"matched\":{},\"report\":{}}}",
             id,
-            json_string(&dir.display().to_string()),
+            json_string(&lake.root().display().to_string()),
             report.is_match(),
             report.to_json(),
         ),
@@ -443,10 +445,10 @@ pub fn handle_connection<R: BufRead, W: Write + Send + 'static>(
 ///
 /// Serial mode answers each request before reading the next.
 /// Pipelined mode dispatches each decoded request onto its own handler
-/// thread and writes responses as they complete; a `shutdown` request
-/// or EOF joins every in-flight request before draining, so no
-/// response is ever dropped. Malformed lines are answered inline in
-/// both modes.
+/// thread and writes responses as they complete; finished handlers are
+/// joined as later requests arrive, and a `shutdown` request or EOF
+/// joins every in-flight request before draining, so no response is
+/// ever dropped. Malformed lines are answered inline in both modes.
 ///
 /// # Errors
 ///
@@ -454,9 +456,36 @@ pub fn handle_connection<R: BufRead, W: Write + Send + 'static>(
 /// never a panicking job (those answer an error line instead).
 pub fn handle_connection_mode<R: BufRead, W: Write + Send + 'static>(
     service: &Service,
+    reader: R,
+    writer: &Arc<Mutex<W>>,
+    mode: ConnMode,
+) -> io::Result<bool> {
+    serve_connection(service, reader, writer, mode, &mut |_| {})
+}
+
+/// A pipelined request's handler thread.
+type Handler<'scope> = std::thread::ScopedJoinHandle<'scope, io::Result<()>>;
+
+/// Joins pipelined handlers — every one when `all`, otherwise only
+/// those that have finished — keeping the first transport error any
+/// of them returned. Handler panics cannot reach here:
+/// `respond_and_write` converts them to error lines.
+fn join_handlers(handles: &mut Vec<Handler<'_>>, first_err: &mut Option<io::Error>, all: bool) {
+    for handle in handles.extract_if(.., |h| all || h.is_finished()) {
+        if let Ok(Err(e)) = handle.join() {
+            first_err.get_or_insert(e);
+        }
+    }
+}
+
+/// [`handle_connection_mode`], reporting to `on_dispatch` how many
+/// pipelined handlers the connection holds each time it starts one.
+fn serve_connection<R: BufRead, W: Write + Send + 'static>(
+    service: &Service,
     mut reader: R,
     writer: &Arc<Mutex<W>>,
     mode: ConnMode,
+    on_dispatch: &mut dyn FnMut(usize),
 ) -> io::Result<bool> {
     service.events().emit(EventDraft::info("conn.open"));
     let mut requests: u64 = 0;
@@ -466,27 +495,21 @@ pub fn handle_connection_mode<R: BufRead, W: Write + Send + 'static>(
             .emit(EventDraft::info("conn.close").field_u64("requests", requests));
     };
     std::thread::scope(|scope| {
-        let mut handles: Vec<std::thread::ScopedJoinHandle<'_, io::Result<()>>> = Vec::new();
-        // Joins every in-flight handler before a drain point (shutdown
-        // ack or EOF), surfacing the first transport error any of them
-        // hit. Handler panics cannot reach here: `respond_and_write`
-        // converts them to error lines.
-        let join_all = |handles: &mut Vec<std::thread::ScopedJoinHandle<'_, io::Result<()>>>| {
-            let mut first_err = None;
-            for handle in handles.drain(..) {
-                if let Ok(Err(e)) = handle.join() {
-                    first_err.get_or_insert(e);
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+        let mut handles: Vec<Handler<'_>> = Vec::new();
+        // A finished handler is joined before the next one starts, so a
+        // long connection holds only the handlers still running. The
+        // first transport error one of them returned waits for the next
+        // drain point (shutdown ack or EOF), where every remaining
+        // handler is joined first.
+        let mut first_err: Option<io::Error> = None;
+        let drain = |handles: &mut Vec<Handler<'_>>, first_err: &mut Option<io::Error>| {
+            join_handlers(handles, first_err, true);
+            first_err.take().map_or(Ok(()), Err)
         };
         loop {
             let line = match read_request_line(&mut reader)? {
                 None => {
-                    join_all(&mut handles)?;
+                    drain(&mut handles, &mut first_err)?;
                     close(requests);
                     return Ok(false);
                 }
@@ -536,7 +559,7 @@ pub fn handle_connection_mode<R: BufRead, W: Write + Send + 'static>(
                 // Outstanding responses first, then the drain, then the
                 // ack — a client that waits for the ack has seen every
                 // response it is owed.
-                join_all(&mut handles)?;
+                drain(&mut handles, &mut first_err)?;
                 service.shutdown();
                 close(requests);
                 write_line(
@@ -548,8 +571,10 @@ pub fn handle_connection_mode<R: BufRead, W: Write + Send + 'static>(
             match mode {
                 ConnMode::Serial => respond_and_write(service, writer, &req)?,
                 ConnMode::Pipelined => {
+                    join_handlers(&mut handles, &mut first_err, false);
                     let writer = Arc::clone(writer);
                     handles.push(scope.spawn(move || respond_and_write(service, &writer, &req)));
+                    on_dispatch(handles.len());
                 }
             }
         }
@@ -916,19 +941,18 @@ mod tests {
         assert!(out.contains("no trace directory configured"), "{out}");
     }
 
-    #[test]
-    fn query_answers_from_the_configured_trace_dir() {
+    /// A trace with a marked segment holding two ACTs to bank 3 and one
+    /// to bank 0.
+    fn query_trace(seed: u64) -> dram_trace::Trace {
         use dram_sim::chip::Command;
         use dram_sim::sink::CommandOutcome;
         use dram_sim::Time;
         use dram_trace::{Trace, TraceEvent, TraceHeader};
 
-        // One indexed trace with a marked segment holding two ACTs to
-        // bank 3 and one to bank 0.
-        let trace = Trace {
+        Trace {
             header: TraceHeader {
                 profile_label: "daemon-query".into(),
-                seed: 9,
+                seed,
                 geometry_hash: 0xabc,
                 dossier_digest: None,
                 dropped: 0,
@@ -954,10 +978,15 @@ mod tests {
                     outcome: CommandOutcome::Accepted,
                 },
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn query_answers_from_the_configured_trace_dir() {
         let dir = std::env::temp_dir().join(format!("dramscoped_query_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        std::fs::write(dir.join("run.trace"), trace.to_bytes_indexed()).expect("trace written");
+        std::fs::write(dir.join("run.trace"), query_trace(9).to_bytes_indexed())
+            .expect("trace written");
 
         let service = Service::with_runner(
             1,
@@ -1207,6 +1236,144 @@ mod tests {
             lines[1],
             "{\"resp\":\"shutdown\",\"id\":\"z\",\"drained\":true}"
         );
+    }
+
+    #[test]
+    fn query_lake_reads_each_file_once_and_reports_like_query_path() {
+        let dir = std::env::temp_dir().join(format!("dramscoped_lake_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        for (name, seed) in [("a", 1), ("b", 2), ("c", 3)] {
+            let trace = query_trace(seed);
+            let bytes = if seed == 2 {
+                trace.to_bytes()
+            } else {
+                trace.to_bytes_indexed()
+            };
+            std::fs::write(dir.join(format!("{name}.trace")), bytes).expect("trace written");
+        }
+        // Files younger than the settle window are re-read by every query.
+        std::thread::sleep(dram_trace::query::SETTLE + std::time::Duration::from_millis(50));
+
+        let service = Service::with_runner(
+            1,
+            Arc::new(|_spec: &JobSpec, _sink| unreachable!("no jobs submitted")),
+        );
+        service.set_trace_dir(&dir);
+        let requests: Vec<String> = (0..6)
+            .map(|i| {
+                let predicate = ["\"cmd\":\"act\",\"bank\":3", "\"min_count\":0"][i % 2];
+                format!("{{\"req\":\"query\",\"id\":\"q{i}\",{predicate}}}")
+            })
+            .collect();
+        let input = format!(
+            "{}\n{{\"req\":\"stats\",\"id\":\"s\"}}\n",
+            requests.join("\n")
+        );
+        let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
+        handle_connection(&service, input.as_bytes(), &writer).expect("transport ok");
+        let out = String::from_utf8(writer.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 7, "{lines:?}");
+        for (request, line) in requests.iter().zip(&lines) {
+            let Ok(Request::Query(req)) = parse_request(request) else {
+                panic!("{request} parses as a query");
+            };
+            let reference = dram_trace::query_path(&dir, &req.to_query()).expect("one-shot query");
+            let report = line.split_once(",\"report\":").expect("report field").1;
+            assert_eq!(report.strip_suffix('}'), Some(reference.to_json().as_str()));
+        }
+        assert!(
+            lines[6].contains("\"lake_files\":3,\"lake_opens\":3,"),
+            "{}",
+            lines[6]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Hands the connection one request line at a time, each only once
+    /// every earlier request has its response on the [`LineCounter`],
+    /// so the reader never runs ahead of the handlers.
+    struct Paced {
+        lines: Vec<String>,
+        next: usize,
+        pending: Vec<u8>,
+        written: Arc<(Mutex<usize>, std::sync::Condvar)>,
+    }
+
+    impl Read for Paced {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.fill_buf()?.read(buf)?;
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Paced {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if self.pending.is_empty() && self.next < self.lines.len() {
+                let (count, answered) = &*self.written;
+                let mut count = count.lock().unwrap();
+                while *count < self.next {
+                    count = answered.wait(count).unwrap();
+                }
+                self.pending = format!("{}\n", self.lines[self.next]).into_bytes();
+                self.next += 1;
+            }
+            Ok(&self.pending)
+        }
+
+        fn consume(&mut self, amt: usize) {
+            self.pending.drain(..amt);
+        }
+    }
+
+    /// Counts the response lines written and wakes the [`Paced`] reader.
+    struct LineCounter(Arc<(Mutex<usize>, std::sync::Condvar)>);
+
+    impl Write for LineCounter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let (count, answered) = &*self.0;
+            *count.lock().unwrap() += buf.iter().filter(|&&b| b == b'\n').count();
+            answered.notify_all();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn pipelined_connections_reap_finished_handlers() {
+        const REQUESTS: usize = 2_000;
+        let service = Service::with_runner(
+            1,
+            Arc::new(|_spec: &JobSpec, _sink| unreachable!("no jobs submitted")),
+        );
+        let written = Arc::new((Mutex::new(0usize), std::sync::Condvar::new()));
+        let reader = Paced {
+            lines: (0..REQUESTS)
+                .map(|i| format!("{{\"req\":\"stats\",\"id\":\"s{i}\"}}"))
+                .collect(),
+            next: 0,
+            pending: Vec::new(),
+            written: Arc::clone(&written),
+        };
+        let writer = Arc::new(Mutex::new(LineCounter(Arc::clone(&written))));
+        let mut held = Vec::with_capacity(REQUESTS);
+        let shutdown = serve_connection(&service, reader, &writer, ConnMode::Pipelined, &mut |n| {
+            held.push(n)
+        })
+        .expect("transport ok");
+        assert!(!shutdown, "EOF ends the connection");
+        assert_eq!(*written.0.lock().unwrap(), REQUESTS);
+        assert_eq!(held.len(), REQUESTS);
+        // Every earlier response was written before each dispatch, so
+        // only handlers still returning from their last write are held
+        // (a handful, however busy the host); without reaping the count
+        // would reach REQUESTS.
+        let most = held.iter().copied().max().unwrap_or(0);
+        assert!(most <= 64, "{most} handlers held at once");
     }
 
     #[test]

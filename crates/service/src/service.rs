@@ -26,6 +26,7 @@ use dram_obs::{render_prometheus, EventBus, EventDraft};
 use dram_sim::digest::fnv1a_64;
 use dram_sim::{ChipProfile, CommandSink};
 use dram_telemetry::{Key, Registry};
+use dram_trace::Lake;
 use dramscope_core::dossier::{characterize_instrumented, CharacterizeOptions};
 use dramscope_core::shard::{characterize_sharded, ShardConfig};
 use dramscope_core::{CoreError, FleetPool, PoolStats};
@@ -190,6 +191,10 @@ pub struct ServiceStats {
     /// On-disk entries that existed but failed to decode (corrupt or
     /// truncated files treated as misses and later rewritten).
     pub salvaged: u64,
+    /// Trace files whose verified open the query lake holds.
+    pub lake_files: u64,
+    /// Trace files the query lake read and verified since start.
+    pub lake_opens: u64,
 }
 
 /// The signature jobs run under: a job spec plus an optional command
@@ -276,9 +281,9 @@ pub struct Service {
     runner: Arc<RunnerFn>,
     inner: Mutex<Inner>,
     events: EventBus,
-    /// Directory `query` requests evaluate over; unset answers them
-    /// with an error instead of guessing a path.
-    trace_dir: Mutex<Option<std::path::PathBuf>>,
+    /// The trace lake `query` requests evaluate over; unset answers
+    /// them with an error instead of guessing a path.
+    lake: Mutex<Option<Arc<Lake>>>,
 }
 
 impl fmt::Debug for Service {
@@ -360,7 +365,7 @@ impl Service {
             runner,
             inner: Mutex::new(Inner::default()),
             events,
-            trace_dir: Mutex::new(None),
+            lake: Mutex::new(None),
         }
     }
 
@@ -374,17 +379,15 @@ impl Service {
     }
 
     /// Points `query` requests at a trace directory (or a single trace
-    /// file). Unset, the daemon answers queries with an error.
+    /// file), opened lazily as a [`Lake`]. Unset, the daemon answers
+    /// queries with an error.
     pub fn set_trace_dir(&self, path: impl Into<std::path::PathBuf>) {
-        *self
-            .trace_dir
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(path.into());
+        *self.lake.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(Lake::new(path)));
     }
 
-    /// The configured query directory, if any.
-    pub fn trace_dir(&self) -> Option<std::path::PathBuf> {
-        self.trace_dir
+    /// The trace lake `query` requests evaluate over, if configured.
+    pub(crate) fn lake(&self) -> Option<Arc<Lake>> {
+        self.lake
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
@@ -602,7 +605,12 @@ impl Service {
 
     /// Snapshots the live counters.
     pub fn stats(&self) -> ServiceStats {
-        self.lock_inner().stats
+        let mut stats = self.lock_inner().stats;
+        if let Some(lake) = self.lake() {
+            stats.lake_files = lake.files() as u64;
+            stats.lake_opens = lake.opens();
+        }
+        stats
     }
 
     /// Snapshots the pool's job counters and backlog gauges; after

@@ -36,6 +36,7 @@
 use crate::error::TraceError;
 use crate::event::TraceEvent;
 use crate::varint;
+use dram_sim::chip::Command;
 use dram_sim::digest::fnv1a_64;
 
 /// The four magic bytes the index section starts with.
@@ -77,13 +78,13 @@ pub const SEGMENT_MNEMONICS: [&str; 10] = [
 /// Index of `ev`'s op counter in [`SEGMENT_MNEMONICS`].
 pub(crate) fn event_op_index(ev: &TraceEvent) -> usize {
     match ev {
-        TraceEvent::Command { cmd, .. } => match cmd.mnemonic() {
-            "act" => 0,
-            "pre" => 1,
-            "rd" => 2,
-            "wr" => 3,
-            "ref" => 4,
-            _ => 5,
+        TraceEvent::Command { cmd, .. } => match cmd {
+            Command::Activate { .. } => 0,
+            Command::Precharge { .. } => 1,
+            Command::Read { .. } => 2,
+            Command::Write { .. } => 3,
+            Command::Refresh => 4,
+            Command::Rfm { .. } => 5,
         },
         TraceEvent::Burst { .. } => 6,
         TraceEvent::RefreshWindow { .. } => 7,
@@ -559,5 +560,28 @@ mod tests {
         let untimed = sample_index().segments[1].clone();
         assert!(untimed.overlaps_ps(None, None));
         assert!(!untimed.overlaps_ps(Some(0), None));
+    }
+
+    #[test]
+    fn command_op_counters_mirror_command_mnemonics() {
+        for cmd in [
+            Command::Activate { bank: 1, row: 2 },
+            Command::Precharge { bank: 1 },
+            Command::Read { bank: 1, col: 3 },
+            Command::Write {
+                bank: 1,
+                col: 3,
+                data: 4,
+            },
+            Command::Refresh,
+            Command::Rfm { bank: 1 },
+        ] {
+            let ev = TraceEvent::Command {
+                cmd,
+                at: dram_sim::time::Time::from_ns(1),
+                outcome: dram_sim::sink::CommandOutcome::Accepted,
+            };
+            assert_eq!(event_mnemonic(&ev), cmd.mnemonic());
+        }
     }
 }

@@ -392,22 +392,38 @@ impl IndexedTrace {
 
     /// Decodes the events of segment `i` only.
     pub fn decode_segment(&self, i: usize) -> Result<Vec<TraceEvent>, TraceError> {
+        let mut events = Vec::with_capacity(self.segments.get(i).map_or(0, |s| s.events as usize));
+        self.for_each_event(i, |ev| events.push(ev))?;
+        Ok(events)
+    }
+
+    /// Decodes the events of segment `i` one at a time, handing each to
+    /// `f` in stream order without collecting the segment. On an error,
+    /// `f` has seen the events before the damage.
+    pub(crate) fn for_each_event(
+        &self,
+        i: usize,
+        mut f: impl FnMut(TraceEvent),
+    ) -> Result<(), TraceError> {
         let seg = self.segments.get(i).ok_or(TraceError::CorruptIndex {
             offset: 0,
             what: "segment index out of range",
         })?;
         if let Some(events) = &self.cached {
             let start = self.event_starts[i] as usize;
-            return Ok(events[start..start + seg.events as usize].to_vec());
+            events[start..start + seg.events as usize]
+                .iter()
+                .cloned()
+                .for_each(f);
+            return Ok(());
         }
         let start = seg.offset as usize;
         let bytes = &self.payload[start..start + seg.len as usize];
         let mut r = Reader::new(bytes);
         let mut prev_ps = seg.base_ps;
-        let mut events = Vec::with_capacity(seg.events as usize);
         for index in 0..seg.events {
             r.enter_event(self.event_starts[i] + index);
-            events.push(format::decode_event(&mut r, &mut prev_ps)?);
+            f(format::decode_event(&mut r, &mut prev_ps)?);
         }
         if r.remaining() != 0 {
             return Err(TraceError::CorruptIndex {
@@ -415,7 +431,7 @@ impl IndexedTrace {
                 what: "segment bytes extend past its event count",
             });
         }
-        Ok(events)
+        Ok(())
     }
 
     /// Decodes every segment serially and reassembles the whole trace —

@@ -76,7 +76,7 @@ pub use index::{
 };
 pub use lake::{decode_container, split_container, Container, IndexedTrace};
 pub use metrics::trace_metrics;
-pub use query::{query_bytes, query_path, Query, QueryHit, QueryReport};
+pub use query::{query_bytes, query_path, Lake, Query, QueryHit, QueryReport};
 pub use record::{Divergence, SharedRecorder, SharedVerifier, TraceRecorder, TraceVerifier};
 pub use replay::{replay_on_chip, replay_on_chip_trusted, ReplayStats};
 

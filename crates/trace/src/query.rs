@@ -1,5 +1,6 @@
 //! The query engine over indexed traces: conjunctive predicates, index
-//! pruning so only candidate segments decode, and directory-wide scans.
+//! pruning so only candidate segments decode, and directory-wide scans
+//! through an open-once [`Lake`].
 //!
 //! A [`Query`] combines time-range, bank, command-mix, and
 //! marker-prefix predicates (all conjunctive) with per-segment min/max
@@ -12,10 +13,16 @@
 
 use crate::error::TraceError;
 use crate::event::TraceEvent;
-use crate::index::{event_bank, event_mnemonic, event_op_index, SegmentMeta, SEGMENT_MNEMONICS};
+use crate::index::{event_bank, event_op_index, SegmentMeta, SEGMENT_MNEMONICS};
 use crate::lake::IndexedTrace;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs::{File, Metadata};
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, SystemTime};
 
 /// A conjunctive predicate over trace events plus per-segment count
 /// bounds. Empty (`Query::default()`) matches every event.
@@ -48,25 +55,7 @@ pub struct Query {
 impl Query {
     /// Whether a single event satisfies every per-event predicate.
     pub fn matches_event(&self, ev: &TraceEvent) -> bool {
-        if self.from_ps.is_some() || self.to_ps.is_some() {
-            let Some(at) = ev.at() else { return false };
-            let ps = at.as_ps();
-            if self.from_ps.is_some_and(|f| ps < f) || self.to_ps.is_some_and(|t| ps > t) {
-                return false;
-            }
-        }
-        if let Some(banks) = &self.banks {
-            match event_bank(ev) {
-                Some(bank) if banks.contains(&bank) => {}
-                _ => return false,
-            }
-        }
-        if let Some(mnemonics) = &self.mnemonics {
-            if !mnemonics.iter().any(|m| m == event_mnemonic(ev)) {
-                return false;
-            }
-        }
-        true
+        Matcher::new(self).matches(ev, event_op_index(ev))
     }
 
     /// Whether a segment's index metadata leaves any chance of a
@@ -102,6 +91,46 @@ impl Query {
     /// bounds.
     fn count_in_bounds(&self, matched: u64) -> bool {
         matched >= self.min_count.unwrap_or(1) && self.max_count.is_none_or(|m| matched <= m)
+    }
+}
+
+/// A query with its command-mix predicate resolved to op-counter slots
+/// once, so the per-event test compares indices instead of mnemonic
+/// strings.
+struct Matcher<'q> {
+    query: &'q Query,
+    /// Wanted [`SEGMENT_MNEMONICS`] slots; an unknown mnemonic sets
+    /// none, so it matches nothing.
+    ops: Option<[bool; 10]>,
+}
+
+impl<'q> Matcher<'q> {
+    fn new(query: &'q Query) -> Self {
+        let ops = query
+            .mnemonics
+            .as_ref()
+            .map(|wanted| SEGMENT_MNEMONICS.map(|m| wanted.iter().any(|w| w == m)));
+        Matcher { query, ops }
+    }
+
+    /// Whether `ev`, counted under op slot `op`, satisfies every
+    /// per-event predicate.
+    fn matches(&self, ev: &TraceEvent, op: usize) -> bool {
+        let q = self.query;
+        if q.from_ps.is_some() || q.to_ps.is_some() {
+            let Some(at) = ev.at() else { return false };
+            let ps = at.as_ps();
+            if q.from_ps.is_some_and(|f| ps < f) || q.to_ps.is_some_and(|t| ps > t) {
+                return false;
+            }
+        }
+        if let Some(banks) = &q.banks {
+            match event_bank(ev) {
+                Some(bank) if banks.contains(&bank) => {}
+                _ => return false,
+            }
+        }
+        self.ops.is_none_or(|ops| ops[op])
     }
 }
 
@@ -220,6 +249,7 @@ pub fn query_indexed(
     trace: &IndexedTrace,
     query: &Query,
 ) -> Result<(Vec<QueryHit>, usize), TraceError> {
+    let matcher = Matcher::new(query);
     let mut hits = Vec::new();
     let mut decoded = 0usize;
     for (i, seg) in trace.segments().iter().enumerate() {
@@ -227,23 +257,23 @@ pub fn query_indexed(
             continue;
         }
         decoded += 1;
-        let events = trace.decode_segment(i)?;
         let mut ops = [0u64; 10];
         let mut matched = 0u64;
         let mut min_ps = None;
         let mut max_ps = None;
-        for ev in &events {
-            if !query.matches_event(ev) {
-                continue;
+        trace.for_each_event(i, |ev| {
+            let op = event_op_index(&ev);
+            if !matcher.matches(&ev, op) {
+                return;
             }
             matched += 1;
-            ops[event_op_index(ev)] += 1;
+            ops[op] += 1;
             if let Some(at) = ev.at() {
                 let ps = at.as_ps();
                 min_ps = Some(min_ps.map_or(ps, |m: u64| m.min(ps)));
                 max_ps = Some(max_ps.map_or(ps, |m: u64| m.max(ps)));
             }
-        }
+        })?;
         if query.count_in_bounds(matched) {
             hits.push(QueryHit {
                 file: file.to_string(),
@@ -274,21 +304,217 @@ pub fn query_bytes(file: &str, bytes: &[u8], query: &Query) -> Result<QueryRepor
 }
 
 /// Runs a query over a trace file or over every `*.trace` file in a
-/// directory (sorted by name). Errors carry the offending path.
+/// directory (sorted by name): one query over a fresh [`Lake`]. Errors
+/// carry the offending path.
 pub fn query_path(path: &Path, query: &Query) -> Result<QueryReport, String> {
-    let files = collect_trace_files(path)?;
-    let mut report = QueryReport::default();
-    for file in &files {
-        let bytes = std::fs::read(file).map_err(|e| format!("{}: {e}", file.display()))?;
-        let one = query_bytes(&file.display().to_string(), &bytes, query)
-            .map_err(|e| format!("{}: {e}", file.display()))?;
-        report.files += 1;
-        report.segments += one.segments;
-        report.segments_decoded += one.segments_decoded;
-        report.matched += one.matched;
-        report.hits.extend(one.hits);
+    Lake::new(path).query(query)
+}
+
+/// How long a file's newest timestamp must age before a [`Lake`]
+/// reuses its open, on any file system: a file left unchanged this long
+/// after its last write is read once and then reused.
+pub const SETTLE: Duration = Duration::from_secs(3);
+
+/// The settle window for timestamps with sub-second resolution: well
+/// above the clock tick file systems take timestamps from (at most
+/// about 10 ms on Linux).
+const FINE_SETTLE: Duration = Duration::from_millis(100);
+
+/// What a file's metadata says about which version of it is on disk:
+/// length and modification time, plus change time, device and inode on
+/// unix. An in-place rewrite moves the times; a replace-by-rename moves
+/// the inode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    len: u64,
+    modified: Option<SystemTime>,
+    changed: Option<SystemTime>,
+    node: Option<(u64, u64)>,
+}
+
+impl Stamp {
+    #[cfg(unix)]
+    fn of(meta: &Metadata) -> Stamp {
+        use std::os::unix::fs::MetadataExt;
+        let changed = u64::try_from(meta.ctime())
+            .ok()
+            .zip(u32::try_from(meta.ctime_nsec()).ok())
+            .and_then(|(s, ns)| SystemTime::UNIX_EPOCH.checked_add(Duration::new(s, ns)));
+        Stamp {
+            len: meta.len(),
+            modified: meta.modified().ok(),
+            changed,
+            node: Some((meta.dev(), meta.ino())),
+        }
     }
-    Ok(report)
+
+    #[cfg(not(unix))]
+    fn of(meta: &Metadata) -> Stamp {
+        Stamp {
+            len: meta.len(),
+            modified: meta.modified().ok(),
+            changed: None,
+            node: None,
+        }
+    }
+
+    /// Whether every change after `now` must produce a different stamp.
+    /// File systems take timestamps from a clock that advances in ticks
+    /// and round them down to their resolution, so a rewrite within the
+    /// tick of the previous write can keep every field of the stamp.
+    /// The newest timestamp must lie a tick plus one resolution step
+    /// before `now`: [`FINE_SETTLE`], or [`SETTLE`] when it shows no
+    /// sub-second part (whole-second file systems; FAT's steps are two
+    /// seconds). Without a modification time a stamp never settles.
+    fn settled(&self, now: SystemTime) -> bool {
+        let Some(modified) = self.modified else {
+            return false;
+        };
+        let newest = self.changed.map_or(modified, |c| c.max(modified));
+        let whole_seconds = newest
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .is_ok_and(|t| t.subsec_nanos() == 0);
+        let window = if whole_seconds { SETTLE } else { FINE_SETTLE };
+        now.duration_since(newest).is_ok_and(|age| age >= window)
+    }
+}
+
+/// One file's verified open, as the [`Lake`] holds it.
+#[derive(Debug)]
+struct Held {
+    stamp: Stamp,
+    /// Whether the stamp was settled when the file was read; only then
+    /// does an equal stamp later prove the bytes unchanged.
+    settled: bool,
+    trace: Arc<IndexedTrace>,
+}
+
+/// An open-once trace lake: a trace file, or every `*.trace` file in a
+/// directory, queried repeatedly.
+///
+/// Each [`query`](Self::query) lists the directory again and stats every
+/// listed file. A file whose stamp (length and modification time, plus
+/// change time, device and inode on unix) equals the one it was read
+/// under is answered from the [`IndexedTrace`] opened then; any other
+/// file is read and fully verified through [`IndexedTrace::from_bytes`]
+/// first. Entries for files no longer listed are dropped, and a file
+/// that fails to open leaves no entry behind, so a report only ever
+/// uses bytes that passed verification under the file's current stamp.
+/// No lock is held across file I/O or decoding; concurrent queries may
+/// open the same new version twice.
+///
+/// A same-length rewrite within one timestamp tick of the previous
+/// write keeps the stamp, so an open is reused only if the file's
+/// newest timestamp was already 100 ms old when the read began, or
+/// [`SETTLE`] old for a timestamp with no sub-second part. A younger
+/// file is read and verified again by the next query.
+///
+/// The lake holds each listed file's payload bytes, or its decoded
+/// events for v1 and index-fallback opens.
+#[derive(Debug)]
+pub struct Lake {
+    root: PathBuf,
+    held: Mutex<BTreeMap<PathBuf, Held>>,
+    opens: AtomicU64,
+}
+
+impl Lake {
+    /// A lake over `root`; nothing is read until the first query.
+    pub fn new(root: impl Into<PathBuf>) -> Lake {
+        Lake {
+            root: root.into(),
+            held: Mutex::new(BTreeMap::new()),
+            opens: AtomicU64::new(0),
+        }
+    }
+
+    /// The file or directory the lake queries.
+    pub fn root(&self) -> &Path {
+        &self.root
+    }
+
+    /// Files whose verified open the lake currently holds.
+    pub fn files(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Files read and verified since the lake was created, failed
+    /// attempts included.
+    pub fn opens(&self) -> u64 {
+        self.opens.load(Ordering::Relaxed)
+    }
+
+    /// Runs a query over the lake's current files, in name order.
+    /// Errors carry the offending path.
+    pub fn query(&self, query: &Query) -> Result<QueryReport, String> {
+        let files = collect_trace_files(&self.root)?;
+        self.lock()
+            .retain(|path, _| files.binary_search(path).is_ok());
+        let mut report = QueryReport::default();
+        for file in &files {
+            let name = file.display().to_string();
+            let trace = self.open(file).map_err(|e| format!("{name}: {e}"))?;
+            let (hits, decoded) =
+                query_indexed(&name, &trace, query).map_err(|e| format!("{name}: {e}"))?;
+            report.files += 1;
+            report.segments += trace.segments().len();
+            report.segments_decoded += decoded;
+            report.matched += hits.iter().map(|h| h.matched).sum::<u64>();
+            report.hits.extend(hits);
+        }
+        Ok(report)
+    }
+
+    /// The verified open of `file`'s current version: the held one when
+    /// its settled stamp still matches, otherwise a fresh read and
+    /// verification that replaces it.
+    fn open(&self, file: &Path) -> Result<Arc<IndexedTrace>, String> {
+        let stamp = Stamp::of(&std::fs::metadata(file).map_err(|e| e.to_string())?);
+        if let Some(held) = self.lock().get(file) {
+            if held.settled && held.stamp == stamp {
+                return Ok(Arc::clone(&held.trace));
+            }
+        }
+        self.opens.fetch_add(1, Ordering::Relaxed);
+        let opened = read_stamped(file).and_then(|(stamp, settled, bytes)| {
+            let trace = IndexedTrace::from_bytes(&bytes).map_err(|e| e.to_string())?;
+            Ok(Held {
+                stamp,
+                settled,
+                trace: Arc::new(trace),
+            })
+        });
+        let mut held = self.lock();
+        match opened {
+            Ok(entry) => {
+                let trace = Arc::clone(&entry.trace);
+                held.insert(file.to_path_buf(), entry);
+                Ok(trace)
+            }
+            Err(e) => {
+                held.remove(file);
+                Err(e)
+            }
+        }
+    }
+
+    /// Locks the held opens. Every update is one insert, remove or
+    /// retain, so the map is valid even after a panic elsewhere.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<PathBuf, Held>> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Reads `file` through one handle, stamped before the first byte is
+/// read: any later change yields a different stamp, provided the stamp
+/// was settled (the flag returned with it).
+fn read_stamped(file: &Path) -> Result<(Stamp, bool, Vec<u8>), String> {
+    let now = SystemTime::now();
+    let mut handle = File::open(file).map_err(|e| e.to_string())?;
+    let stamp = Stamp::of(&handle.metadata().map_err(|e| e.to_string())?);
+    let mut bytes = Vec::new();
+    handle.read_to_end(&mut bytes).map_err(|e| e.to_string())?;
+    Ok((stamp, stamp.settled(now), bytes))
 }
 
 /// Expands a path into the trace files it names: the file itself, or a
@@ -323,8 +549,18 @@ mod tests {
     use dram_sim::time::Time;
 
     fn sample_trace() -> Trace {
+        sample_trace_on(0)
+    }
+
+    /// The sample trace with its warmup ACTs on `warmup_bank`; every bank
+    /// below 128 encodes to the same number of bytes.
+    fn sample_trace_on(warmup_bank: u32) -> Trace {
         let mut events = Vec::new();
-        for (bank, span) in [(0u32, "span:warmup"), (1, "span:trr_window")] {
+        for (seg, (bank, span)) in [(warmup_bank, "span:warmup"), (1, "span:trr_window")]
+            .into_iter()
+            .enumerate()
+        {
+            let base_ns = 100 * seg as u64;
             events.push(TraceEvent::Marker { label: span.into() });
             for i in 0..5u64 {
                 events.push(TraceEvent::Command {
@@ -332,13 +568,13 @@ mod tests {
                         bank,
                         row: i as u32,
                     },
-                    at: Time::from_ns(100 * u64::from(bank) + i * 10),
+                    at: Time::from_ns(base_ns + i * 10),
                     outcome: CommandOutcome::Accepted,
                 });
             }
             events.push(TraceEvent::Command {
                 cmd: Command::Refresh,
-                at: Time::from_ns(100 * u64::from(bank) + 90),
+                at: Time::from_ns(base_ns + 90),
                 outcome: CommandOutcome::Accepted,
             });
         }
@@ -495,5 +731,196 @@ mod tests {
             json,
             "{\"files\":1,\"segments\":2,\"segments_decoded\":1,\"matched\":4,\"hits\":[{\"file\":\"dir/a \\\"x\\\".trace\",\"segment\":1,\"label\":\"span:trr_window\",\"events\":7,\"matched\":4,\"ops\":{\"act\":4},\"min_ps\":100000,\"max_ps\":130000}]}"
         );
+    }
+
+    /// A fresh directory holding `files`.
+    fn lake_dir(name: &str, files: &[(&str, Vec<u8>)]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dram_lake_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        for (file, bytes) in files {
+            std::fs::write(dir.join(file), bytes).expect("write");
+        }
+        dir
+    }
+
+    /// [`lake_dir`], returned once every file's stamp has settled (or
+    /// after twice [`SETTLE`], on a file system whose stamps never do).
+    fn settled_dir(name: &str, files: &[(&str, Vec<u8>)]) -> PathBuf {
+        let dir = lake_dir(name, files);
+        let deadline = SystemTime::now() + SETTLE * 2;
+        for (file, _) in files {
+            let stamp = Stamp::of(&std::fs::metadata(dir.join(file)).expect("stat"));
+            while !stamp.settled(SystemTime::now()) && SystemTime::now() < deadline {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        dir
+    }
+
+    fn act_query() -> Query {
+        Query {
+            mnemonics: Some(vec!["act".into()]),
+            ..Query::default()
+        }
+    }
+
+    #[test]
+    fn lake_reuses_unchanged_files_and_repeats_one_shot_reports() {
+        let trace = sample_trace();
+        let dir = settled_dir(
+            "reuse",
+            &[
+                ("a.trace", trace.to_bytes()),
+                ("b.trace", trace.to_bytes_indexed()),
+            ],
+        );
+        let lake = Lake::new(&dir);
+        let queries = [
+            act_query(),
+            Query {
+                banks: Some(vec![1]),
+                marker_prefix: Some("span:trr".into()),
+                ..Query::default()
+            },
+            Query {
+                min_count: Some(0),
+                ..Query::default()
+            },
+        ];
+        for round in 0..3 {
+            for query in &queries {
+                let fresh = query_path(&dir, query).expect("one-shot query");
+                let held = lake.query(query).expect("lake query");
+                assert_eq!(held.to_json(), fresh.to_json(), "round {round}");
+            }
+        }
+        assert_eq!(lake.opens(), 2, "each unchanged file is read once");
+        assert_eq!(lake.files(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lake_rereads_a_same_length_rewrite() {
+        let dir = settled_dir("rewrite", &[("a.trace", sample_trace().to_bytes_indexed())]);
+        let lake = Lake::new(&dir);
+        let bank0 = Query {
+            banks: Some(vec![0]),
+            ..act_query()
+        };
+        assert_eq!(lake.query(&bank0).expect("queries").matched, 5);
+        let path = dir.join("a.trace");
+        let mtime = std::fs::metadata(&path).and_then(|m| m.modified());
+        let moved = sample_trace_on(2).to_bytes_indexed();
+        assert_eq!(moved.len(), sample_trace().to_bytes_indexed().len());
+        std::fs::write(&path, &moved).expect("rewrite in place");
+        if cfg!(unix) {
+            // Restore the old modification time, as `cp -p` does: the
+            // change time still moves.
+            let file = std::fs::File::options().write(true).open(&path);
+            file.and_then(|f| f.set_modified(mtime?))
+                .expect("restore mtime");
+        }
+        let report = lake.query(&bank0).expect("queries");
+        assert_eq!(
+            report.matched, 0,
+            "the rewritten file moved its ACTs to bank 2"
+        );
+        assert_eq!(
+            report.to_json(),
+            query_path(&dir, &bank0).expect("one-shot").to_json()
+        );
+        assert_eq!(lake.opens(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lake_rereads_a_file_until_its_stamp_settles() {
+        let dir = lake_dir("young", &[("a.trace", sample_trace().to_bytes_indexed())]);
+        // A modification time ahead of the clock keeps the stamp from
+        // settling however long the queries take.
+        let file = std::fs::File::options()
+            .write(true)
+            .open(dir.join("a.trace"))
+            .expect("open");
+        file.set_modified(SystemTime::now() + Duration::from_secs(3600))
+            .expect("set mtime");
+        let lake = Lake::new(&dir);
+        let first = lake.query(&act_query()).expect("queries");
+        assert_eq!(lake.query(&act_query()).expect("queries"), first);
+        assert_eq!(lake.opens(), 2, "an unsettled open is never reused");
+        assert_eq!(lake.files(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lake_drops_deleted_files_and_includes_added_ones() {
+        let bytes = sample_trace().to_bytes_indexed();
+        let dir = settled_dir(
+            "listing",
+            &[("a.trace", bytes.clone()), ("b.trace", bytes.clone())],
+        );
+        let lake = Lake::new(&dir);
+        assert_eq!(lake.query(&act_query()).expect("queries").files, 2);
+        std::fs::remove_file(dir.join("a.trace")).expect("delete");
+        std::fs::write(dir.join("c.trace"), &bytes).expect("add");
+        let report = lake.query(&act_query()).expect("queries");
+        assert_eq!(
+            report.to_json(),
+            query_path(&dir, &act_query()).expect("one-shot").to_json()
+        );
+        assert_eq!(report.files, 2);
+        assert!(report.hits.iter().all(|h| !h.file.ends_with("a.trace")));
+        assert!(report.hits.iter().any(|h| h.file.ends_with("c.trace")));
+        assert_eq!(lake.files(), 2, "the deleted file's open is dropped");
+        assert_eq!(lake.opens(), 3, "only the added file is read");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lake_never_serves_a_held_version_after_a_corrupt_rewrite() {
+        let good = sample_trace().to_bytes_indexed();
+        let dir = settled_dir("corrupt", &[("a.trace", good.clone())]);
+        let lake = Lake::new(&dir);
+        let before = lake.query(&act_query()).expect("queries");
+        assert!(before.is_match());
+        let mut flipped = good.clone();
+        flipped[sample_trace().to_bytes().len() - 3] ^= 0xff;
+        std::fs::write(dir.join("a.trace"), &flipped).expect("rewrite in place");
+        let one_shot = query_path(&dir, &act_query()).expect_err("corrupt payload");
+        for _ in 0..2 {
+            assert_eq!(
+                lake.query(&act_query()).expect_err("corrupt payload"),
+                one_shot
+            );
+            assert_eq!(lake.files(), 0, "the good version is no longer held");
+        }
+        assert_eq!(lake.opens(), 3, "a failed open is retried, never cached");
+        std::fs::write(dir.join("a.trace"), &good).expect("restore");
+        assert_eq!(lake.query(&act_query()).expect("queries"), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stamps_settle_after_a_window_set_by_timestamp_resolution() {
+        let stamp = |newest: SystemTime| Stamp {
+            len: 1,
+            modified: Some(newest - Duration::from_secs(60)),
+            changed: Some(newest),
+            node: None,
+        };
+        let coarse = SystemTime::UNIX_EPOCH + Duration::from_secs(1_700_000_000);
+        let fine = coarse + Duration::from_nanos(7);
+        for (newest, window) in [(fine, FINE_SETTLE), (coarse, SETTLE)] {
+            let s = stamp(newest);
+            assert!(!s.settled(newest - Duration::from_secs(1)), "clock behind");
+            assert!(!s.settled(newest + window - Duration::from_nanos(1)));
+            assert!(s.settled(newest + window));
+        }
+        let untimed = Stamp {
+            modified: None,
+            ..stamp(fine)
+        };
+        assert!(!untimed.settled(fine + SETTLE * 10));
     }
 }
