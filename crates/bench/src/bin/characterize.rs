@@ -56,10 +56,11 @@
 //! `mfr_b_x4_2019`, `mfr_c_x8_2016`, or `hbm2`. The special name
 //! `fleet` characterizes the whole Table I population in parallel and
 //! prints the per-device summary table followed by the JSON-lines run
-//! report; `--serial` runs the same jobs one at a time (the determinism
-//! / speedup baseline), `--workers N` pins the worker count, and
-//! `--sharded` switches to the two-level scheduler: every
-//! `(profile, bank)` pair becomes one task on the shared pool.
+//! report; `--serial` runs the same jobs one at a time on one worker
+//! (the determinism / speedup baseline), `--workers N` pins the worker
+//! count, and `--sharded` switches to the two-level scheduler: every
+//! `(profile, bank)` pair becomes one task on the shared pool (one
+//! worker under `--serial`).
 //!
 //! `sharded` characterizes every bank of ONE device concurrently, one
 //! shard per bank, and prints the per-bank table, the run summary, and
@@ -443,18 +444,19 @@ fn print_run_report(stats: &dramscope_core::dossier::RunStats) {
 }
 
 fn run_fleet_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let serial = args.iter().any(|a| a == "--serial");
     let workers = parse_flag::<usize>(args, "--workers")?.unwrap_or(0);
+    // --serial pins either engine to one worker: the same jobs, seeds,
+    // and execution order as the parallel run.
+    let serial = args.iter().any(|a| a == "--serial");
+    let config = FleetConfig {
+        workers: if serial { 1 } else { workers },
+    };
     let tele = Telemetry::from_args(args)?;
     let journal = Journal::from_args(args)?;
     let jobs = fleet::table1_jobs();
+    let seed = dramscope_bench::experiments::SEED;
     if args.iter().any(|a| a == "--sharded") {
-        let report = fleet::run_fleet_sharded_with_events(
-            &jobs,
-            dramscope_bench::experiments::SEED,
-            FleetConfig { workers },
-            journal.bus(),
-        );
+        let report = fleet::run_fleet_sharded(&jobs, seed, config, journal.bus());
         println!(
             "Sharded fleet characterization — {} profiles, {} (profile, bank) tasks on {} workers, {:.0} ms wall",
             report.profiles.len(),
@@ -474,23 +476,7 @@ fn run_fleet_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         return Ok(());
     }
-    let report = match (serial, journal.bus()) {
-        (true, None) => fleet::run_fleet_serial(&jobs, dramscope_bench::experiments::SEED),
-        // The journaled serial path runs the events-aware engine pinned
-        // to one worker — the same jobs, seeds, and execution order.
-        (true, Some(bus)) => fleet::run_fleet_with_events(
-            &jobs,
-            dramscope_bench::experiments::SEED,
-            FleetConfig { workers: 1 },
-            Some(bus),
-        ),
-        (false, _) => fleet::run_fleet_with_events(
-            &jobs,
-            dramscope_bench::experiments::SEED,
-            FleetConfig { workers },
-            journal.bus(),
-        ),
-    };
+    let report = fleet::run_fleet(&jobs, seed, config, journal.bus());
     println!(
         "Fleet characterization — {} profiles on {} workers, {:.0} ms wall",
         report.results.len(),

@@ -1091,7 +1091,7 @@ pub fn dossier_report() -> Result<String, Box<dyn Error>> {
 /// JSON-lines run report (also available via `characterize fleet`).
 pub fn fleet_report() -> Result<String, Box<dyn Error>> {
     let jobs = fleet::table1_jobs();
-    let report = fleet::run_fleet(&jobs, SEED, fleet::FleetConfig::default());
+    let report = fleet::run_fleet(&jobs, SEED, fleet::FleetConfig::default(), None);
     let mut out = String::new();
     writeln!(
         out,

@@ -185,7 +185,7 @@ fn characterize_sharded() -> Bench {
 fn fleet_serial() -> Bench {
     let jobs = small_fleet_jobs();
     Bench::new("fleet_serial", move || {
-        let report = fleet::run_fleet_serial(&jobs, SEED);
+        let report = fleet::run_fleet(&jobs, SEED, FleetConfig { workers: 1 }, None);
         let commands = report.results.iter().map(|r| r.stats.commands()).sum();
         std::hint::black_box(report);
         commands
@@ -196,7 +196,7 @@ fn fleet_serial() -> Bench {
 fn fleet_parallel() -> Bench {
     let jobs = small_fleet_jobs();
     Bench::new("fleet_parallel", move || {
-        let report = fleet::run_fleet(&jobs, SEED, FleetConfig::default());
+        let report = fleet::run_fleet(&jobs, SEED, FleetConfig::default(), None);
         let commands = report.results.iter().map(|r| r.stats.commands()).sum();
         std::hint::black_box(report);
         commands

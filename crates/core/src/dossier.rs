@@ -201,7 +201,7 @@ fn total_commands(s: &ChipStats) -> u64 {
     s.activations + s.reads + s.writes + s.refreshes
 }
 
-/// Snapshot-delta phase recorder for [`characterize_with_stats`].
+/// Snapshot-delta phase recorder for the scoped flow.
 struct PhaseClock {
     started: Instant,
     commands: u64,
@@ -243,34 +243,29 @@ pub fn characterize(
     seed: u64,
     opts: CharacterizeOptions,
 ) -> Result<ChipDossier, CoreError> {
-    characterize_with_stats(profile, seed, opts).map(|(d, _)| d)
+    Task::device(profile, seed, opts)
+        .run(None, false)
+        .map(|(d, _, _)| d)
 }
 
-/// [`characterize`], additionally reporting per-phase [`RunStats`]
-/// (the machine-readable layer behind the fleet engine's run reports).
-///
-/// # Errors
-///
-/// Propagates chip protocol errors and pipeline failures.
-pub fn characterize_with_stats(
-    profile: &ChipProfile,
-    seed: u64,
-    opts: CharacterizeOptions,
-) -> Result<(ChipDossier, RunStats), CoreError> {
-    characterize_with_stats_traced(profile, seed, opts, None)
-}
-
-/// [`characterize_with_stats_traced`] plus telemetry: runs with a
-/// [`MetricsSink`](dram_sim::MetricsSink) teed onto the primary probe
+/// [`characterize`] plus per-phase [`RunStats`] and telemetry: runs with
+/// a [`MetricsSink`](dram_sim::MetricsSink) teed onto the primary probe
 /// testbed and additionally returns the finished metrics [`Registry`]
 /// (command mix, per-bank counters, row-cycle histograms, phase/span
 /// accounting — see `dram_sim::metrics` for the schema).
 ///
-/// When an external sink is supplied (a trace recorder, a replay
-/// verifier) it is teed *first*, so it observes exactly the stream it
-/// would see without telemetry attached. The registry is a pure function
-/// of the deterministic event stream, so its JSON-lines snapshot is
-/// byte-identical run to run for the same `(profile, seed, opts)`.
+/// With an external sink, every command the primary testbed issues is
+/// observable — a recorder captures the run into a replayable trace, a
+/// verifier checks it live against a previously recorded one. It is teed
+/// *first*, so it observes exactly the stream it would see without
+/// telemetry attached. Phase boundaries are announced to the sinks as
+/// `phase:<name>` markers so traces carry the experiment structure.
+/// Phases that run on fresh side chips (`swizzle` internals, `trr_ecc`
+/// fingerprinting) are deterministic functions of `(profile, seed)` and
+/// are not part of the primary command stream. The registry is a pure
+/// function of the deterministic event stream, so its JSON-lines
+/// snapshot is byte-identical run to run for the same
+/// `(profile, seed, opts)`.
 ///
 /// # Errors
 ///
@@ -281,203 +276,184 @@ pub fn characterize_instrumented(
     opts: CharacterizeOptions,
     sink: Option<Box<dyn CommandSink + Send>>,
 ) -> Result<(ChipDossier, RunStats, Registry), CoreError> {
-    let metrics = SharedMetrics::new();
-    let combined: Box<dyn CommandSink + Send> = match sink {
-        Some(external) => Box::new(Tee::new(external, metrics.clone())),
-        None => Box::new(metrics.clone()),
-    };
-    let (dossier, stats) = characterize_with_stats_traced(profile, seed, opts, Some(combined))?;
-    Ok((dossier, stats, metrics.take_registry()))
+    Task::device(profile, seed, opts).run(sink, true)
 }
 
-/// [`characterize_with_stats`] with an optional [`CommandSink`] attached
-/// to the primary probe testbed for the duration of the run.
-///
-/// With a sink, every command the primary testbed issues is observable —
-/// a recorder captures the run into a replayable trace, a verifier checks
-/// it live against a previously recorded one. Phase boundaries are
-/// announced to the sink as `phase:<name>` markers so traces carry the
-/// experiment structure. Phases that run on fresh side chips (`swizzle`
-/// internals, `trr_ecc` fingerprinting) are deterministic functions of
-/// `(profile, seed)` and are not part of the primary command stream.
-///
-/// # Errors
-///
-/// Propagates chip protocol errors and pipeline failures.
-pub fn characterize_with_stats_traced(
-    profile: &ChipProfile,
-    seed: u64,
-    opts: CharacterizeOptions,
-    sink: Option<Box<dyn CommandSink + Send>>,
-) -> Result<(ChipDossier, RunStats), CoreError> {
-    characterize_flow(profile, seed, None, opts, sink)
+/// One scoped characterization: the unit every run entry point executes,
+/// singly ([`characterize`], trace record/replay) or on the task engine
+/// ([`crate::fleet`], [`crate::shard`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Task<'a> {
+    pub(crate) profile: &'a ChipProfile,
+    pub(crate) seed: u64,
+    pub(crate) opts: CharacterizeOptions,
+    /// `None` is the whole-device flow: probe bank 0 and emit exactly
+    /// the historical marker stream (golden traces depend on it).
+    /// `Some(bank)` probes that bank and announces it with a leading
+    /// `shard:bank=<bank>` marker, so per-bank trace segments stay
+    /// self-describing when concatenated. Each bank task runs against a
+    /// fresh chip built from the *same* `(profile, seed)` — the same
+    /// simulated silicon — so shards never observe each other's state.
+    pub(crate) bank: Option<u32>,
 }
 
-/// [`characterize_with_stats_traced`] restricted to one bank of the
-/// device: every probe phase targets `bank` instead of bank 0, and the
-/// stream opens with a `shard:bank=<bank>` marker so recorded traces
-/// stay self-describing when per-bank segments are concatenated.
-///
-/// This is the per-shard unit of the bank-sharded characterization path
-/// (see [`crate::shard`]): each shard runs against a fresh chip built
-/// from the *same* `(profile, seed)` — the same simulated silicon — and
-/// probes only its own bank, so shards can never observe each other's
-/// bank state and their merged output is independent of scheduling.
-///
-/// # Errors
-///
-/// Rejects an out-of-range `bank`; otherwise the same failure modes as
-/// [`characterize_with_stats_traced`].
-pub fn characterize_bank_with_stats_traced(
-    profile: &ChipProfile,
-    seed: u64,
-    bank: u32,
-    opts: CharacterizeOptions,
-    sink: Option<Box<dyn CommandSink + Send>>,
-) -> Result<(ChipDossier, RunStats), CoreError> {
-    characterize_flow(profile, seed, Some(bank), opts, sink)
-}
-
-/// [`characterize_bank_with_stats_traced`] plus telemetry, mirroring
-/// [`characterize_instrumented`]: the external sink (if any) is teed
-/// first, and the returned [`Registry`] is a pure function of the
-/// deterministic per-bank event stream.
-///
-/// # Errors
-///
-/// Same failure modes as [`characterize_bank_with_stats_traced`].
-pub fn characterize_bank_instrumented(
-    profile: &ChipProfile,
-    seed: u64,
-    bank: u32,
-    opts: CharacterizeOptions,
-    sink: Option<Box<dyn CommandSink + Send>>,
-) -> Result<(ChipDossier, RunStats, Registry), CoreError> {
-    let metrics = SharedMetrics::new();
-    let combined: Box<dyn CommandSink + Send> = match sink {
-        Some(external) => Box::new(Tee::new(external, metrics.clone())),
-        None => Box::new(metrics.clone()),
-    };
-    let (dossier, stats) = characterize_flow(profile, seed, Some(bank), opts, Some(combined))?;
-    Ok((dossier, stats, metrics.take_registry()))
-}
-
-/// The shared probe flow behind the whole-device and per-bank entry
-/// points. `shard_bank: None` is the legacy path: probe bank 0 and emit
-/// exactly the historical marker stream (golden traces depend on it).
-/// `Some(bank)` probes that bank and announces it with a leading
-/// `shard:bank=<bank>` marker.
-fn characterize_flow(
-    profile: &ChipProfile,
-    seed: u64,
-    shard_bank: Option<u32>,
-    opts: CharacterizeOptions,
-    sink: Option<Box<dyn CommandSink + Send>>,
-) -> Result<(ChipDossier, RunStats), CoreError> {
-    let bank = shard_bank.unwrap_or(0);
-    if bank >= profile.banks {
-        return Err(format!(
-            "bank {bank} out of range for {} ({} banks)",
-            profile.label(),
-            profile.banks
-        )
-        .into());
-    }
-    let mut tb = Testbed::new(DramChip::new(profile.clone(), seed));
-    if let Some(sink) = sink {
-        tb.set_sink(sink);
-    }
-    if shard_bank.is_some() {
-        tb.mark(&format!("{}{bank}", dram_trace::SHARD_MARKER_PREFIX));
-    }
-    let mut stats = RunStats::default();
-    let mut clock = PhaseClock::new();
-
-    // Structure via RowCopy.
-    tb.mark("phase:structure");
-    let scan_end = opts.scan_rows.min(tb.rows());
-    let subarray_heights = rowcopy_probe::subarray_heights(&mut tb, bank, 0..scan_end)?;
-    let composition = summarize_heights(&subarray_heights);
-    let edge_interval = rowcopy_probe::detect_edge_interval(&mut tb, bank)?;
-    let coupled_distance = rowcopy_probe::detect_coupled_rows(&mut tb, bank)?;
-    let copy_inverted = rowcopy_probe::detect_copy_inversion(&mut tb, bank, 0)?;
-    clock.lap("structure", tb.chip(), &mut stats);
-
-    // Power cross-check of the edge interval (stride below the smallest
-    // known subarray height).
-    tb.mark("phase:power");
-    let stride = 64.min(tb.rows() / 32).max(1);
-    let edge_interval_from_power = power_channel::edge_interval_from_power(&mut tb, bank, stride)?;
-    clock.lap("power", tb.chip(), &mut stats);
-
-    // Retention polarity over a spread of rows.
-    tb.mark("phase:retention");
-    let rows = tb.rows();
-    let sample = [rows / 16, rows / 3, rows / 2 + 7];
-    let verdicts = retention_probe::classify_rows(&mut tb, bank, &sample, opts.retention_wait)?;
-    let polarity = retention_probe::polarity_scheme(&verdicts);
-    clock.lap("retention", tb.chip(), &mut stats);
-
-    // Remap detection on interior rows.
-    tb.mark("phase:remap");
-    let cfg = AibConfig {
-        bank,
-        attack: Attack::Hammer { count: 2_600_000 },
-    };
-    let probe_mid = (opts.probe_range.0 + opts.probe_range.1) / 2;
-    let remap = remap_re::detect_remap(&mut tb, cfg, &[probe_mid])?;
-    clock.lap("remap", tb.chip(), &mut stats);
-
-    // Optional swizzle recovery via the observation suite's pipeline.
-    tb.mark("phase:swizzle");
-    let (mats_per_rd, mat_width) = if opts.with_swizzle {
-        let mut suite = ObservationSuite::with_profile_range(
-            profile.clone(),
+impl<'a> Task<'a> {
+    /// The whole-device task.
+    pub(crate) fn device(profile: &'a ChipProfile, seed: u64, opts: CharacterizeOptions) -> Self {
+        Task {
+            profile,
             seed,
-            opts.probe_range.0,
-            opts.probe_range.1,
-        );
-        let layout = suite.layout()?;
-        (
-            Some(layout.row_bits() / layout.mat_width()),
-            Some(layout.mat_width()),
-        )
-    } else {
-        (None, None)
-    };
-    clock.lap("swizzle", tb.chip(), &mut stats);
-
-    // TRR and ECC fingerprints on fresh chips. The victims are the rows
-    // the adjacency probe actually found — pin neighbours are wrong on
-    // remapped devices.
-    tb.mark("phase:trr_ecc");
-    let aggressor = probe_mid;
-    let victims = crate::hammer::adjacent_rows(&mut tb, cfg, aggressor, 8)?;
-    if victims.is_empty() {
-        return Err("no victims found for the aggressor probe row".into());
+            opts,
+            bank: None,
+        }
     }
-    let mut fresh = || Testbed::new(DramChip::new(profile.clone(), seed));
-    let trr = trr_re::detect_trr(&mut fresh, bank, aggressor, &victims, 400_000, 12)?;
-    let on_die_ecc =
-        ecc_probe::detect_on_die_ecc(&mut fresh, bank, aggressor, victims[0], 8_000_000)?;
-    clock.lap("trr_ecc", tb.chip(), &mut stats);
 
-    let dossier = ChipDossier {
-        label: profile.label(),
-        subarray_heights,
-        composition,
-        edge_interval,
-        edge_interval_from_power,
-        coupled_distance,
-        copy_inverted,
-        polarity,
-        remap,
-        mats_per_rd,
-        mat_width,
-        trr,
-        on_die_ecc,
-    };
-    Ok((dossier, stats))
+    /// One task per bank of the device, in bank order.
+    pub(crate) fn banks(
+        profile: &'a ChipProfile,
+        seed: u64,
+        opts: CharacterizeOptions,
+    ) -> Vec<Task<'a>> {
+        (0..profile.banks)
+            .map(|bank| Task {
+                bank: Some(bank),
+                ..Task::device(profile, seed, opts)
+            })
+            .collect()
+    }
+
+    /// The scoped flow. `sink` (a recorder, a verifier) rides the primary
+    /// probe testbed; with `metrics`, a metrics sink is teed after it and
+    /// the returned [`Registry`] is filled (it stays empty otherwise).
+    ///
+    /// # Errors
+    ///
+    /// Rejects an out-of-range bank; propagates chip protocol errors and
+    /// pipeline failures.
+    pub(crate) fn run(
+        &self,
+        sink: Option<Box<dyn CommandSink + Send>>,
+        metrics: bool,
+    ) -> Result<(ChipDossier, RunStats, Registry), CoreError> {
+        let Task {
+            profile,
+            seed,
+            opts,
+            bank: shard_bank,
+        } = *self;
+        let bank = shard_bank.unwrap_or(0);
+        if bank >= profile.banks {
+            return Err(format!(
+                "bank {bank} out of range for {} ({} banks)",
+                profile.label(),
+                profile.banks
+            )
+            .into());
+        }
+        let shared = metrics.then(SharedMetrics::new);
+        let sink: Option<Box<dyn CommandSink + Send>> = match (sink, &shared) {
+            (Some(external), Some(m)) => Some(Box::new(Tee::new(external, m.clone()))),
+            (None, Some(m)) => Some(Box::new(m.clone())),
+            (external, None) => external,
+        };
+        let mut tb = Testbed::new(DramChip::new(profile.clone(), seed));
+        if let Some(sink) = sink {
+            tb.set_sink(sink);
+        }
+        if shard_bank.is_some() {
+            tb.mark(&format!("{}{bank}", dram_trace::SHARD_MARKER_PREFIX));
+        }
+        let mut stats = RunStats::default();
+        let mut clock = PhaseClock::new();
+
+        // Structure via RowCopy.
+        tb.mark("phase:structure");
+        let scan_end = opts.scan_rows.min(tb.rows());
+        let subarray_heights = rowcopy_probe::subarray_heights(&mut tb, bank, 0..scan_end)?;
+        let composition = summarize_heights(&subarray_heights);
+        let edge_interval = rowcopy_probe::detect_edge_interval(&mut tb, bank)?;
+        let coupled_distance = rowcopy_probe::detect_coupled_rows(&mut tb, bank)?;
+        let copy_inverted = rowcopy_probe::detect_copy_inversion(&mut tb, bank, 0)?;
+        clock.lap("structure", tb.chip(), &mut stats);
+
+        // Power cross-check of the edge interval (stride below the smallest
+        // known subarray height).
+        tb.mark("phase:power");
+        let stride = 64.min(tb.rows() / 32).max(1);
+        let edge_interval_from_power =
+            power_channel::edge_interval_from_power(&mut tb, bank, stride)?;
+        clock.lap("power", tb.chip(), &mut stats);
+
+        // Retention polarity over a spread of rows.
+        tb.mark("phase:retention");
+        let rows = tb.rows();
+        let sample = [rows / 16, rows / 3, rows / 2 + 7];
+        let verdicts = retention_probe::classify_rows(&mut tb, bank, &sample, opts.retention_wait)?;
+        let polarity = retention_probe::polarity_scheme(&verdicts);
+        clock.lap("retention", tb.chip(), &mut stats);
+
+        // Remap detection on interior rows.
+        tb.mark("phase:remap");
+        let cfg = AibConfig {
+            bank,
+            attack: Attack::Hammer { count: 2_600_000 },
+        };
+        let probe_mid = (opts.probe_range.0 + opts.probe_range.1) / 2;
+        let remap = remap_re::detect_remap(&mut tb, cfg, &[probe_mid])?;
+        clock.lap("remap", tb.chip(), &mut stats);
+
+        // Optional swizzle recovery via the observation suite's pipeline.
+        tb.mark("phase:swizzle");
+        let (mats_per_rd, mat_width) = if opts.with_swizzle {
+            let mut suite = ObservationSuite::with_profile_range(
+                profile.clone(),
+                seed,
+                opts.probe_range.0,
+                opts.probe_range.1,
+            );
+            let layout = suite.layout()?;
+            (
+                Some(layout.row_bits() / layout.mat_width()),
+                Some(layout.mat_width()),
+            )
+        } else {
+            (None, None)
+        };
+        clock.lap("swizzle", tb.chip(), &mut stats);
+
+        // TRR and ECC fingerprints on fresh chips. The victims are the rows
+        // the adjacency probe actually found — pin neighbours are wrong on
+        // remapped devices.
+        tb.mark("phase:trr_ecc");
+        let aggressor = probe_mid;
+        let victims = crate::hammer::adjacent_rows(&mut tb, cfg, aggressor, 8)?;
+        if victims.is_empty() {
+            return Err("no victims found for the aggressor probe row".into());
+        }
+        let mut fresh = || Testbed::new(DramChip::new(profile.clone(), seed));
+        let trr = trr_re::detect_trr(&mut fresh, bank, aggressor, &victims, 400_000, 12)?;
+        let on_die_ecc =
+            ecc_probe::detect_on_die_ecc(&mut fresh, bank, aggressor, victims[0], 8_000_000)?;
+        clock.lap("trr_ecc", tb.chip(), &mut stats);
+
+        let dossier = ChipDossier {
+            label: profile.label(),
+            subarray_heights,
+            composition,
+            edge_interval,
+            edge_interval_from_power,
+            coupled_distance,
+            copy_inverted,
+            polarity,
+            remap,
+            mats_per_rd,
+            mat_width,
+            trr,
+            on_die_ecc,
+        };
+        let registry = shared.map_or_else(Registry::new, |m| m.take_registry());
+        Ok((dossier, stats, registry))
+    }
 }
 
 #[cfg(test)]
@@ -531,8 +507,8 @@ mod tests {
             retention_wait: Time::from_ms(120_000),
         };
         let profile = ChipProfile::test_small().with_trr(2);
-        let (a, sa) = characterize_with_stats(&profile, 123, opts).unwrap();
-        let (b, sb) = characterize_with_stats(&profile, 123, opts).unwrap();
+        let (a, sa, _) = Task::device(&profile, 123, opts).run(None, false).unwrap();
+        let (b, sb, _) = Task::device(&profile, 123, opts).run(None, false).unwrap();
         assert_eq!(a.to_string(), b.to_string());
         assert_eq!(a.subarray_heights, b.subarray_heights);
         let counts = |s: &RunStats| {
@@ -552,7 +528,8 @@ mod tests {
             probe_range: (44, 60),
             retention_wait: Time::from_ms(120_000),
         };
-        let (_, stats) = characterize_with_stats(&ChipProfile::test_small(), 5, opts).unwrap();
+        let profile = ChipProfile::test_small();
+        let (_, stats, _) = Task::device(&profile, 5, opts).run(None, false).unwrap();
         let names: Vec<_> = stats.phases.iter().map(|p| p.name).collect();
         assert_eq!(
             names,
@@ -597,7 +574,7 @@ mod tests {
         let scans = dram_telemetry::Key::of("span_count", &[("span", "attack_scan")]);
         assert!(ra.counter(&scans) > 0);
         // The uninstrumented path is unaffected by the tee.
-        let (dc, _) = characterize_with_stats(&profile, 123, opts).unwrap();
+        let (dc, _, _) = Task::device(&profile, 123, opts).run(None, false).unwrap();
         assert_eq!(dc.to_string(), da.to_string());
     }
 
@@ -613,8 +590,10 @@ mod tests {
             retention_wait: Time::from_ms(120_000),
         };
         let profile = ChipProfile::test_small();
-        let (legacy, _) = characterize_with_stats(&profile, 123, opts).unwrap();
-        let (shard, _) = characterize_bank_with_stats_traced(&profile, 123, 0, opts, None).unwrap();
+        let (legacy, _, _) = Task::device(&profile, 123, opts).run(None, false).unwrap();
+        let (shard, _, _) = Task::banks(&profile, 123, opts)[0]
+            .run(None, false)
+            .unwrap();
         assert_eq!(shard.to_string(), legacy.to_string());
         assert_eq!(shard.digest(), legacy.digest());
     }
@@ -628,8 +607,9 @@ mod tests {
             retention_wait: Time::from_ms(120_000),
         };
         let profile = ChipProfile::test_small_hbm2();
-        let (a, sa, ra) = characterize_bank_instrumented(&profile, 123, 3, opts, None).unwrap();
-        let (b, _, rb) = characterize_bank_instrumented(&profile, 123, 3, opts, None).unwrap();
+        let bank3 = Task::banks(&profile, 123, opts)[3];
+        let (a, sa, ra) = bank3.run(None, true).unwrap();
+        let (b, _, rb) = bank3.run(None, true).unwrap();
         assert_eq!(a.to_string(), b.to_string());
         assert_eq!(ra.to_json_lines(), rb.to_json_lines());
         assert!(sa.commands() > 0);
@@ -653,13 +633,11 @@ mod tests {
     #[test]
     fn out_of_range_bank_is_rejected() {
         let profile = ChipProfile::test_small();
-        let err = characterize_bank_with_stats_traced(
-            &profile,
-            1,
-            profile.banks,
-            CharacterizeOptions::default(),
-            None,
-        )
+        let err = Task {
+            bank: Some(profile.banks),
+            ..Task::device(&profile, 1, CharacterizeOptions::default())
+        }
+        .run(None, false)
         .expect_err("bank out of range");
         assert!(err.to_string().contains("out of range"), "{err}");
     }

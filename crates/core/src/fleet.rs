@@ -12,23 +12,34 @@
 //! violated invariant) is caught and reported as that profile's
 //! [`CoreError::WorkerPanic`]; every other profile still completes.
 //!
+//! [`run_fleet`] and [`run_fleet_sharded`] — like the bank-sharded paths
+//! in [`crate::shard`] and [`crate::trace_run`] — are task lists on one
+//! crate-private task engine beside [`parallel_map`], which times each
+//! task, isolates its panics and emits its `job.*` lifecycle events.
+//!
 //! # Example
 //!
 //! ```no_run
+//! use dram_obs::EventBus;
 //! use dramscope_core::fleet::{self, FleetConfig};
 //!
 //! let jobs = fleet::table1_jobs();
-//! let report = fleet::run_fleet(&jobs, 0x5ca1e, FleetConfig::default());
+//! let report = fleet::run_fleet(&jobs, 0x5ca1e, FleetConfig::default(), None);
 //! println!("{}", report.table());
 //! println!("{}", report.json_lines());
+//!
+//! // The serial reference, narrating every job's lifecycle onto a bus.
+//! let bus = EventBus::new(256);
+//! let serial = fleet::run_fleet(&jobs, 0x5ca1e, FleetConfig { workers: 1 }, Some(&bus));
+//! println!("{}", serial.summary_json());
 //! ```
 
-use crate::dossier::{characterize_instrumented, CharacterizeOptions, ChipDossier, RunStats};
+use crate::dossier::{CharacterizeOptions, ChipDossier, RunStats, Task};
 use crate::error::CoreError;
-use crate::shard::ShardedReport;
+use crate::shard::{BankResult, ShardedReport};
 use dram_obs::{EventBus, EventDraft};
 use dram_sim::rng::mix64;
-use dram_sim::ChipProfile;
+use dram_sim::{ChipProfile, CommandSink};
 use dram_telemetry::Registry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -263,11 +274,7 @@ impl FleetReport {
     /// runs of the same jobs — the same determinism contract the
     /// dossiers obey.
     pub fn merged_metrics(&self) -> Registry {
-        let mut merged = Registry::new();
-        for r in &self.results {
-            merged.merge(&r.metrics);
-        }
-        merged
+        Registry::merged(self.results.iter().map(|r| &r.metrics))
     }
 }
 
@@ -320,79 +327,68 @@ pub fn table1_jobs() -> Vec<FleetJob> {
 
 /// Characterizes every job concurrently on a `std::thread::scope` worker
 /// pool. Results come back in job order; a worker panic costs only the
-/// offending profile.
-pub fn run_fleet(jobs: &[FleetJob], base_seed: u64, config: FleetConfig) -> FleetReport {
-    run_fleet_with_events(jobs, base_seed, config, None)
-}
-
-/// [`run_fleet`] with per-job lifecycle events: every job emits
-/// `job.queued` / `job.started` / `job.finished` (or `job.panicked`)
-/// onto `events`, correlated by the profile label as `job_id`. The
-/// report — and every dossier in it — is byte-identical with or without
-/// a bus; events are pure observation.
-pub fn run_fleet_with_events(
+/// offending profile. `workers: 1` is the serial reference: the same
+/// jobs, seeds and execution order, one job at a time.
+///
+/// With `events`, every job emits `job.queued` / `job.started` /
+/// `job.finished` (or `job.panicked`) onto the bus, correlated by the
+/// profile label as `job_id`. The report — and every dossier in it — is
+/// byte-identical with or without a bus; events are pure observation.
+pub fn run_fleet(
     jobs: &[FleetJob],
     base_seed: u64,
     config: FleetConfig,
     events: Option<&EventBus>,
 ) -> FleetReport {
     let workers = effective_workers(config.workers, jobs.len());
-    if let Some(bus) = events {
-        for job in jobs {
-            bus.emit(EventDraft::info("job.queued").job(&job.profile.label()));
-        }
-    }
-    let report = run_with(jobs, base_seed, workers, |profile, seed, opts| {
-        let label = profile.label();
-        if let Some(bus) = events {
-            bus.emit(
-                EventDraft::info("job.started")
-                    .job(&label)
-                    .field_u64("seed", seed),
-            );
-        }
-        let job_started = Instant::now();
-        let outcome = characterize_instrumented(profile, seed, opts, None);
-        if let Some(bus) = events {
-            bus.emit(
-                EventDraft::info("job.finished")
-                    .job(&label)
-                    .field_bool("ok", outcome.is_ok())
-                    .wall_ms(job_started.elapsed().as_millis() as u64),
-            );
-        }
-        outcome
-    });
-    if let Some(bus) = events {
-        // A panic unwound past the in-job `job.finished` emission, so
-        // its event is emitted here instead.
-        for r in &report.results {
-            if let Err(e @ CoreError::WorkerPanic(_)) = &r.outcome {
-                bus.emit(
-                    EventDraft::error("job.panicked")
-                        .job(&r.label)
-                        .field_str("message", &e.to_string()),
-                );
-            }
-        }
-    }
-    report
+    FleetReport::run(jobs, base_seed, workers, events, &|_| None)
 }
 
-/// The strictly serial reference path: identical jobs, identical derived
-/// seeds, one at a time on the calling thread. Exists so determinism can
-/// be asserted (`run_fleet` output must match byte-for-byte) and as the
-/// baseline for the parallel speedup.
-pub fn run_fleet_serial(jobs: &[FleetJob], base_seed: u64) -> FleetReport {
-    run_with(jobs, base_seed, 1, |profile, seed, opts| {
-        characterize_instrumented(profile, seed, opts, None)
-    })
+impl FleetReport {
+    /// Runs one whole-device task per job on the task engine, with the
+    /// sink `attach` hands each job (by job index).
+    fn run(
+        jobs: &[FleetJob],
+        base_seed: u64,
+        workers: usize,
+        events: Option<&EventBus>,
+        attach: Attach<'_>,
+    ) -> FleetReport {
+        let started = Instant::now();
+        let tasks: Vec<Task> = jobs
+            .iter()
+            .map(|job| {
+                let seed = derive_seed(base_seed, &job.profile.label());
+                Task::device(&job.profile, seed, job.opts)
+            })
+            .collect();
+        let results = tasks
+            .iter()
+            .zip(run_tasks(&tasks, workers, events, attach))
+            .map(|(task, r)| ProfileResult {
+                label: task.profile.label(),
+                seed: task.seed,
+                outcome: r.outcome,
+                stats: r.stats,
+                job_wall_ms: r.bank_wall_ms,
+                metrics: r.metrics,
+            })
+            .collect();
+        FleetReport {
+            results,
+            wall_ms: ms_since(started),
+            workers,
+        }
+    }
 }
 
-fn effective_workers(requested: usize, jobs: usize) -> usize {
+/// The worker count for `requested` workers (`0` = the machine's
+/// available parallelism) over `tasks` tasks: at least one, at most one
+/// per task.
+pub(crate) fn effective_workers(requested: usize, tasks: usize) -> usize {
     let hw = thread::available_parallelism().map_or(1, |n| n.get());
     let w = if requested == 0 { hw } else { requested };
-    w.clamp(1, jobs.max(1))
+    w.clamp(1, tasks.max(1))
 }
 
 /// Everything a two-level sharded fleet run produced: one
@@ -511,103 +507,39 @@ impl ShardedFleetReport {
 /// [`characterize_sharded_serial`](crate::shard::characterize_sharded_serial) over the jobs one
 /// at a time, regardless of worker count or completion order. A panic
 /// costs only its own `(profile, bank)` task.
+///
+/// With `events`, every task emits the `job.*` lifecycle of
+/// [`run_fleet`], correlated by the profile label as `job_id` and the
+/// bank as `shard`.
 pub fn run_fleet_sharded(
-    jobs: &[FleetJob],
-    base_seed: u64,
-    config: FleetConfig,
-) -> ShardedFleetReport {
-    run_fleet_sharded_with_events(jobs, base_seed, config, None)
-}
-
-/// [`run_fleet_sharded`] with per-task lifecycle events: every
-/// `(profile, bank)` task emits `job.queued` / `job.started` /
-/// `job.finished` (or `job.panicked`) onto `events`, correlated by the
-/// profile label as `job_id` and the bank as `shard`. The report — and
-/// every dossier in it — is byte-identical with or without a bus;
-/// events are pure observation.
-pub fn run_fleet_sharded_with_events(
     jobs: &[FleetJob],
     base_seed: u64,
     config: FleetConfig,
     events: Option<&EventBus>,
 ) -> ShardedFleetReport {
     let started = Instant::now();
-    let tasks: Vec<(usize, u32)> = jobs
+    let seeds: Vec<u64> = jobs
         .iter()
-        .enumerate()
-        .flat_map(|(job_idx, job)| (0..job.profile.banks).map(move |bank| (job_idx, bank)))
+        .map(|job| derive_seed(base_seed, &job.profile.label()))
         .collect();
-    if let Some(bus) = events {
-        for &(job_idx, bank) in &tasks {
-            bus.emit(
-                EventDraft::info("job.queued")
-                    .job(&jobs[job_idx].profile.label())
-                    .shard(bank),
-            );
-        }
-    }
+    let tasks: Vec<Task> = jobs
+        .iter()
+        .zip(&seeds)
+        .flat_map(|(job, &seed)| Task::banks(&job.profile, seed, job.opts))
+        .collect();
     let workers = effective_workers(config.workers, tasks.len());
-    let outcomes = parallel_map(&tasks, workers, |&(job_idx, bank)| {
-        let job = &jobs[job_idx];
-        let label = job.profile.label();
-        let seed = derive_seed(base_seed, &label);
-        if let Some(bus) = events {
-            bus.emit(
-                EventDraft::info("job.started")
-                    .job(&label)
-                    .shard(bank)
-                    .field_u64("seed", seed),
-            );
-        }
-        let task_started = Instant::now();
-        let outcome = crate::dossier::characterize_bank_instrumented(
-            &job.profile,
-            seed,
-            bank,
-            job.opts,
-            None,
-        );
-        let wall_ms = task_started.elapsed().as_secs_f64() * 1e3;
-        if let Some(bus) = events {
-            bus.emit(
-                EventDraft::info("job.finished")
-                    .job(&label)
-                    .shard(bank)
-                    .field_bool("ok", outcome.is_ok())
-                    .wall_ms(wall_ms as u64),
-            );
-        }
-        Ok((wall_ms, outcome))
-    });
-    // Group the flat outcomes back per profile, in bank order. The task
-    // list was built job-major, so each job's banks are contiguous.
-    let mut outcomes = outcomes.into_iter();
+    // Group the flat results back per profile, in bank order. The task
+    // list is job-major, so each job's banks are contiguous.
+    let mut results = run_tasks(&tasks, workers, events, &|_| None).into_iter();
     let profiles = jobs
         .iter()
-        .map(|job| {
-            let label = job.profile.label();
-            let seed = derive_seed(base_seed, &label);
-            let results: Vec<crate::shard::BankResult> = (0..job.profile.banks)
-                .map(|bank| {
-                    let outcome = outcomes
-                        .next()
-                        .expect("one outcome exists per scheduled task");
-                    // A panic unwound past the in-task `job.finished`
-                    // emission, so its event is emitted here instead.
-                    if let (Some(bus), Err(e)) = (events, &outcome) {
-                        bus.emit(
-                            EventDraft::error("job.panicked")
-                                .job(&label)
-                                .shard(bank)
-                                .field_str("message", &e.to_string()),
-                        );
-                    }
-                    crate::shard::bank_result(bank, outcome)
-                })
-                .collect();
+        .zip(seeds)
+        .map(|(job, seed)| {
+            let results: Vec<BankResult> =
+                results.by_ref().take(job.profile.banks as usize).collect();
             let wall_ms = results.iter().map(|r| r.bank_wall_ms).sum();
             ShardedReport {
-                label,
+                label: job.profile.label(),
                 seed,
                 results,
                 wall_ms,
@@ -617,7 +549,7 @@ pub fn run_fleet_sharded_with_events(
         .collect();
     ShardedFleetReport {
         profiles,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        wall_ms: ms_since(started),
         workers,
         tasks: tasks.len(),
     }
@@ -746,8 +678,7 @@ impl FleetPool {
     }
 
     fn build(workers: usize, events: Option<EventBus>) -> FleetPool {
-        let hw = thread::available_parallelism().map_or(1, |n| n.get());
-        let count = if workers == 0 { hw } else { workers }.max(1);
+        let count = effective_workers(workers, usize::MAX);
         let (tx, rx) = mpsc::channel::<PoolTask>();
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..count)
@@ -962,67 +893,113 @@ fn recover_slot<R>(slot: Mutex<Option<R>>) -> Option<R> {
     slot.into_inner().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The engine proper, generic over the per-job runner so tests can
-/// inject faults (panics, errors) without manufacturing a broken chip.
-fn run_with<F>(jobs: &[FleetJob], base_seed: u64, workers: usize, run: F) -> FleetReport
-where
-    F: Fn(
-            &ChipProfile,
-            u64,
-            CharacterizeOptions,
-        ) -> Result<(ChipDossier, RunStats, Registry), CoreError>
-        + Sync,
-{
-    let started = Instant::now();
-    // Each worker times its own job around `run`, so errored jobs keep
-    // their cost; only a panic (which unwinds past the timer) reads as
-    // zero. The inner Result is re-wrapped in Ok so `parallel_map`'s
-    // error arm stays reserved for panics.
-    let outcomes = parallel_map(jobs, workers, |job| {
-        let seed = derive_seed(base_seed, &job.profile.label());
-        let job_started = Instant::now();
-        let outcome = run(&job.profile, seed, job.opts);
-        Ok((job_started.elapsed().as_secs_f64() * 1e3, outcome))
+/// The sink the task engine attaches to one task's primary testbed, by
+/// task index: none, a trace recorder, or a replay verifier.
+pub(crate) type Attach<'a> = &'a (dyn Fn(usize) -> Option<Box<dyn CommandSink + Send>> + Sync);
+
+/// One task's run on its worker: the wall time it took (errored runs
+/// keep their cost) and the scoped flow's result.
+pub(crate) type TaskOutcome = (f64, Result<(ChipDossier, RunStats, Registry), CoreError>);
+
+/// The task engine under every multi-run path — [`run_fleet`],
+/// [`run_fleet_sharded`], [`characterize_sharded`](crate::shard::characterize_sharded)
+/// and sharded trace recording and replay.
+///
+/// Runs [`run_task`] for every task on a [`parallel_map`] pool of
+/// `workers`, each with metrics and the sink `attach` hands it, and
+/// returns the results in task order. With `events`, every task's
+/// `job.*` lifecycle is emitted here: all `job.queued` up front,
+/// `job.started`/`job.finished` on the worker, and `job.panicked` after
+/// the run, in task order. A panic costs only its own task.
+pub(crate) fn run_tasks(
+    tasks: &[Task<'_>],
+    workers: usize,
+    events: Option<&EventBus>,
+    attach: Attach<'_>,
+) -> Vec<BankResult> {
+    for task in tasks {
+        emit(events, task, || EventDraft::info("job.queued"));
+    }
+    let index: Vec<usize> = (0..tasks.len()).collect();
+    // The inner Result rides in Ok so `parallel_map`'s error arm stays
+    // reserved for panics.
+    let outcomes = parallel_map(&index, workers, |&i| {
+        Ok(run_task(&tasks[i], attach(i), events))
     });
-    let results = jobs
+    tasks
         .iter()
         .zip(outcomes)
-        .map(|(job, outcome)| {
-            let label = job.profile.label();
-            let seed = derive_seed(base_seed, &label);
-            match outcome {
-                Ok((job_wall_ms, Ok((dossier, stats, metrics)))) => ProfileResult {
-                    label,
-                    seed,
-                    outcome: Ok(dossier),
-                    stats,
-                    job_wall_ms,
-                    metrics,
-                },
-                Ok((job_wall_ms, Err(e))) => ProfileResult {
-                    label,
-                    seed,
-                    outcome: Err(e),
-                    stats: RunStats::default(),
-                    job_wall_ms,
-                    metrics: Registry::new(),
-                },
-                Err(e) => ProfileResult {
-                    label,
-                    seed,
-                    outcome: Err(e),
-                    stats: RunStats::default(),
-                    job_wall_ms: 0.0,
-                    metrics: Registry::new(),
-                },
-            }
-        })
-        .collect();
-    FleetReport {
-        results,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        workers,
+        .map(|(task, outcome)| task_result(task, outcome, events))
+        .collect()
+}
+
+/// The engine's per-task closure: `job.started`, the timed scoped flow
+/// with metrics teed after `sink`, `job.finished`. The serial sharded
+/// reference maps it on the calling thread.
+pub(crate) fn run_task(
+    task: &Task<'_>,
+    sink: Option<Box<dyn CommandSink + Send>>,
+    events: Option<&EventBus>,
+) -> TaskOutcome {
+    emit(events, task, || {
+        EventDraft::info("job.started").field_u64("seed", task.seed)
+    });
+    let started = Instant::now();
+    let outcome = task.run(sink, true);
+    let wall_ms = ms_since(started);
+    emit(events, task, || {
+        EventDraft::info("job.finished")
+            .field_bool("ok", outcome.is_ok())
+            .wall_ms(wall_ms as u64)
+    });
+    (wall_ms, outcome)
+}
+
+/// Unpacks one task's outcome into its [`BankResult`] (a whole-device
+/// task reports bank 0, the bank its flow probes). The outer `Err` is a
+/// worker panic: it unwound past `job.finished` and the task's clock, so
+/// `job.panicked` is emitted here and the result carries zero wall time
+/// and empty stats and metrics.
+pub(crate) fn task_result(
+    task: &Task<'_>,
+    outcome: Result<TaskOutcome, CoreError>,
+    events: Option<&EventBus>,
+) -> BankResult {
+    let (bank_wall_ms, outcome) = outcome.unwrap_or_else(|panic| {
+        emit(events, task, || {
+            EventDraft::error("job.panicked").field_str("message", &panic.to_string())
+        });
+        (0.0, Err(panic))
+    });
+    let (outcome, stats, metrics) = match outcome {
+        Ok((dossier, stats, metrics)) => (Ok(dossier), stats, metrics),
+        Err(e) => (Err(e), RunStats::default(), Registry::new()),
+    };
+    BankResult {
+        bank: task.bank.unwrap_or(0),
+        outcome,
+        stats,
+        bank_wall_ms,
+        metrics,
     }
+}
+
+/// The engine's one lifecycle emitter: the `job.*` draft onto `events`
+/// (built only when there is a bus), correlated by the task's profile
+/// label as `job_id` and, for bank tasks, its bank as `shard`.
+fn emit(events: Option<&EventBus>, task: &Task<'_>, draft: impl FnOnce() -> EventDraft) {
+    if let Some(bus) = events {
+        let draft = draft().job(&task.profile.label());
+        bus.emit(match task.bank {
+            Some(bank) => draft.shard(bank),
+            None => draft,
+        });
+    }
+}
+
+/// Milliseconds elapsed since `started`.
+pub(crate) fn ms_since(started: Instant) -> f64 {
+    started.elapsed().as_secs_f64() * 1e3
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1093,8 +1070,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_byte_for_byte() {
         let jobs = small_jobs();
-        let par = run_fleet(&jobs, 77, FleetConfig { workers: 4 });
-        let ser = run_fleet_serial(&jobs, 77);
+        let par = run_fleet(&jobs, 77, FleetConfig { workers: 4 }, None);
+        let ser = run_fleet(&jobs, 77, FleetConfig { workers: 1 }, None);
         assert!(par.all_ok(), "{}", par.table());
         assert!(ser.all_ok(), "{}", ser.table());
         for (p, s) in par.results.iter().zip(&ser.results) {
@@ -1170,7 +1147,7 @@ mod tests {
                 opts,
             },
         ];
-        let report = run_fleet_sharded(&jobs, 77, FleetConfig { workers: 4 });
+        let report = run_fleet_sharded(&jobs, 77, FleetConfig { workers: 4 }, None);
         assert!(report.all_ok(), "{}", report.table());
         assert_eq!(report.profiles.len(), 2);
         assert_eq!(report.tasks, 2 + 4, "one task per (profile, bank)");
@@ -1201,11 +1178,11 @@ mod tests {
     #[test]
     fn injected_panic_is_isolated_to_its_profile() {
         let jobs = small_jobs();
-        let report = run_with(&jobs, 9, 4, |profile, seed, opts| {
-            if profile.label() == ChipProfile::test_small_coupled().label() {
+        let report = FleetReport::run(&jobs, 9, 4, None, &|i| {
+            if jobs[i].profile.label() == ChipProfile::test_small_coupled().label() {
                 panic!("injected fault");
             }
-            characterize_instrumented(profile, seed, opts, None)
+            None
         });
         assert_eq!(report.results.len(), jobs.len());
         let failed: Vec<&ProfileResult> = report
@@ -1273,7 +1250,7 @@ mod tests {
     #[test]
     fn job_wall_clock_and_summary_are_reported() {
         let jobs = small_jobs();
-        let report = run_fleet_serial(&jobs, 77);
+        let report = run_fleet(&jobs, 77, FleetConfig { workers: 1 }, None);
         assert!(report.all_ok(), "{}", report.table());
         for r in &report.results {
             // Every job ran real work, so its worker-side clock moved,
@@ -1314,11 +1291,11 @@ mod tests {
     #[test]
     fn panicked_jobs_report_zero_job_wall_time() {
         let jobs = small_jobs();
-        let report = run_with(&jobs, 9, 2, |profile, seed, opts| {
-            if profile.label() == ChipProfile::test_small_coupled().label() {
+        let report = FleetReport::run(&jobs, 9, 2, None, &|i| {
+            if jobs[i].profile.label() == ChipProfile::test_small_coupled().label() {
                 panic!("injected fault");
             }
-            characterize_instrumented(profile, seed, opts, None)
+            None
         });
         for r in &report.results {
             match &r.outcome {
@@ -1480,8 +1457,7 @@ mod tests {
     fn sharded_fleet_events_reconstruct_every_task() {
         let bus = dram_obs::EventBus::new(256);
         let jobs = small_jobs();
-        let report =
-            run_fleet_sharded_with_events(&jobs, 77, FleetConfig { workers: 2 }, Some(&bus));
+        let report = run_fleet_sharded(&jobs, 77, FleetConfig { workers: 2 }, Some(&bus));
         assert!(report.all_ok());
         let events = bus.since(0, 0).events;
         // Every (job, bank) task has matched queued, started, and
@@ -1505,7 +1481,7 @@ mod tests {
             }
         }
         // And the report itself is byte-identical to an event-free run.
-        let quiet = run_fleet_sharded(&jobs, 77, FleetConfig { workers: 2 });
+        let quiet = run_fleet_sharded(&jobs, 77, FleetConfig { workers: 2 }, None);
         assert_eq!(
             report.merged_metrics().to_json_lines(),
             quiet.merged_metrics().to_json_lines()
@@ -1516,7 +1492,7 @@ mod tests {
     fn plain_fleet_events_reconstruct_every_job() {
         let bus = dram_obs::EventBus::new(256);
         let jobs = small_jobs();
-        let report = run_fleet_with_events(&jobs, 77, FleetConfig { workers: 2 }, Some(&bus));
+        let report = run_fleet(&jobs, 77, FleetConfig { workers: 2 }, Some(&bus));
         assert!(report.results.iter().all(|r| r.outcome.is_ok()));
         let events = bus.since(0, 0).events;
         // Every job has matched queued, started, and finished events
@@ -1544,11 +1520,90 @@ mod tests {
         ));
         assert!(!finished.stable_line().contains("wall"));
         // And the report itself is byte-identical to an event-free run.
-        let quiet = run_fleet(&jobs, 77, FleetConfig { workers: 2 });
+        let quiet = run_fleet(&jobs, 77, FleetConfig { workers: 2 }, None);
         assert_eq!(
             report.merged_metrics().to_json_lines(),
             quiet.merged_metrics().to_json_lines()
         );
+    }
+
+    /// Two small jobs around one that panics: `row_bits: 0` trips the
+    /// chip's geometry assertion as soon as its flow builds the chip.
+    fn pinned_jobs() -> Vec<FleetJob> {
+        let opts = small_jobs()[0].opts;
+        let mut broken = ChipProfile::test_small();
+        broken.year = 1;
+        broken.banks = 1;
+        broken.row_bits = 0;
+        vec![
+            FleetJob {
+                profile: ChipProfile::test_small(),
+                opts,
+            },
+            FleetJob {
+                profile: broken,
+                opts,
+            },
+            FleetJob {
+                profile: ChipProfile::test_small_coupled(),
+                opts,
+            },
+        ]
+    }
+
+    fn stable_lines(bus: &dram_obs::EventBus) -> Vec<String> {
+        bus.since(0, 0)
+            .events
+            .iter()
+            .map(dram_obs::Event::stable_line)
+            .collect()
+    }
+
+    #[test]
+    fn fleet_lifecycle_lines_are_pinned() {
+        let bus = dram_obs::EventBus::new(256);
+        let report = run_fleet(&pinned_jobs(), 77, FleetConfig { workers: 1 }, Some(&bus));
+        assert_eq!(
+            report.results.iter().filter(|r| r.outcome.is_ok()).count(),
+            2
+        );
+        let expected = [
+            r#"{"seq":0,"sev":"info","kind":"job.queued","job":"Mfr. B x4 0"}"#,
+            r#"{"seq":1,"sev":"info","kind":"job.queued","job":"Mfr. B x4 1"}"#,
+            r#"{"seq":2,"sev":"info","kind":"job.queued","job":"Mfr. A x4 0"}"#,
+            r#"{"seq":3,"sev":"info","kind":"job.started","job":"Mfr. B x4 0","fields":{"seed":6403928037559838031}}"#,
+            r#"{"seq":4,"sev":"info","kind":"job.finished","job":"Mfr. B x4 0","fields":{"ok":true}}"#,
+            r#"{"seq":5,"sev":"info","kind":"job.started","job":"Mfr. B x4 1","fields":{"seed":8488470140630366096}}"#,
+            r#"{"seq":6,"sev":"info","kind":"job.started","job":"Mfr. A x4 0","fields":{"seed":16251798028581472565}}"#,
+            r#"{"seq":7,"sev":"info","kind":"job.finished","job":"Mfr. A x4 0","fields":{"ok":true}}"#,
+            r#"{"seq":8,"sev":"error","kind":"job.panicked","job":"Mfr. B x4 1","fields":{"message":"worker panicked: assertion failed: rows > 0 && row_bits > 0 && mat_width > 0 && rows_per_wordline > 0"}}"#,
+        ];
+        assert_eq!(stable_lines(&bus), expected);
+    }
+
+    #[test]
+    fn sharded_fleet_lifecycle_lines_are_pinned() {
+        let bus = dram_obs::EventBus::new(256);
+        let report = run_fleet_sharded(&pinned_jobs(), 77, FleetConfig { workers: 1 }, Some(&bus));
+        assert_eq!(report.tasks, 5);
+        let expected = [
+            r#"{"seq":0,"sev":"info","kind":"job.queued","job":"Mfr. B x4 0","shard":0}"#,
+            r#"{"seq":1,"sev":"info","kind":"job.queued","job":"Mfr. B x4 0","shard":1}"#,
+            r#"{"seq":2,"sev":"info","kind":"job.queued","job":"Mfr. B x4 1","shard":0}"#,
+            r#"{"seq":3,"sev":"info","kind":"job.queued","job":"Mfr. A x4 0","shard":0}"#,
+            r#"{"seq":4,"sev":"info","kind":"job.queued","job":"Mfr. A x4 0","shard":1}"#,
+            r#"{"seq":5,"sev":"info","kind":"job.started","job":"Mfr. B x4 0","shard":0,"fields":{"seed":6403928037559838031}}"#,
+            r#"{"seq":6,"sev":"info","kind":"job.finished","job":"Mfr. B x4 0","shard":0,"fields":{"ok":true}}"#,
+            r#"{"seq":7,"sev":"info","kind":"job.started","job":"Mfr. B x4 0","shard":1,"fields":{"seed":6403928037559838031}}"#,
+            r#"{"seq":8,"sev":"info","kind":"job.finished","job":"Mfr. B x4 0","shard":1,"fields":{"ok":true}}"#,
+            r#"{"seq":9,"sev":"info","kind":"job.started","job":"Mfr. B x4 1","shard":0,"fields":{"seed":8488470140630366096}}"#,
+            r#"{"seq":10,"sev":"info","kind":"job.started","job":"Mfr. A x4 0","shard":0,"fields":{"seed":16251798028581472565}}"#,
+            r#"{"seq":11,"sev":"info","kind":"job.finished","job":"Mfr. A x4 0","shard":0,"fields":{"ok":true}}"#,
+            r#"{"seq":12,"sev":"info","kind":"job.started","job":"Mfr. A x4 0","shard":1,"fields":{"seed":16251798028581472565}}"#,
+            r#"{"seq":13,"sev":"info","kind":"job.finished","job":"Mfr. A x4 0","shard":1,"fields":{"ok":true}}"#,
+            r#"{"seq":14,"sev":"error","kind":"job.panicked","job":"Mfr. B x4 1","shard":0,"fields":{"message":"worker panicked: assertion failed: rows > 0 && row_bits > 0 && mat_width > 0 && rows_per_wordline > 0"}}"#,
+        ];
+        assert_eq!(stable_lines(&bus), expected);
     }
 
     #[test]
@@ -1561,7 +1616,7 @@ mod tests {
     #[test]
     fn json_lines_are_one_object_per_profile() {
         let jobs = small_jobs();
-        let report = run_fleet_serial(&jobs[..1], 77);
+        let report = run_fleet(&jobs[..1], 77, FleetConfig { workers: 1 }, None);
         let out = report.json_lines();
         assert_eq!(out.lines().count(), 1);
         let line = out.lines().next().unwrap();

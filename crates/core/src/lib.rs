@@ -63,9 +63,8 @@ pub mod trr_re;
 pub use dossier::{characterize, characterize_instrumented, ChipDossier};
 pub use error::CoreError;
 pub use fleet::{
-    parallel_map, run_fleet, run_fleet_serial, run_fleet_sharded, run_fleet_sharded_with_events,
-    run_fleet_with_events, FleetConfig, FleetPool, FleetReport, JobHandle, PoolStats,
-    ProfileResult, ShardedFleetReport,
+    parallel_map, run_fleet, run_fleet_sharded, FleetConfig, FleetPool, FleetReport, JobHandle,
+    PoolStats, ProfileResult, ShardedFleetReport,
 };
 pub use hammer::{AibConfig, HcntResult};
 pub use observations::{ObservationReport, ObservationSuite};
@@ -76,9 +75,8 @@ pub use shard::{
     ShardedReport,
 };
 pub use trace_run::{
-    record_characterization, record_characterization_instrumented, record_characterization_sharded,
-    replay_benchmark, replay_characterization, replay_characterization_instrumented,
-    replay_characterization_sharded,
+    record_characterization_instrumented, record_characterization_sharded, replay_benchmark,
+    replay_characterization_instrumented, replay_characterization_sharded,
 };
 
 // The segment-boundary marker prefixes the characterization pipeline

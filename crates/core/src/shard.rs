@@ -20,6 +20,12 @@
 //! * recorded traces (see [`crate::trace_run::record_characterization_sharded`])
 //!   — same bytes (segments concatenate in bank order).
 //!
+//! Each bank shard is one task on the fleet's task engine (beside
+//! [`parallel_map`](crate::fleet::parallel_map)), the same engine
+//! [`run_fleet_sharded`](crate::fleet::run_fleet_sharded) spreads over
+//! a whole population; [`characterize_sharded_serial`] maps the engine's
+//! per-task closure over the banks on the calling thread instead.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -37,9 +43,9 @@
 //! println!("{}", report.dossier().unwrap());
 //! ```
 
-use crate::dossier::{characterize_bank_instrumented, CharacterizeOptions, ChipDossier, RunStats};
+use crate::dossier::{CharacterizeOptions, ChipDossier, RunStats, Task};
 use crate::error::CoreError;
-use crate::fleet::parallel_map;
+use crate::fleet::{effective_workers, ms_since, run_task, run_tasks, task_result, Attach};
 use dram_sim::ChipProfile;
 use dram_telemetry::Registry;
 use std::fmt;
@@ -215,13 +221,6 @@ impl ShardedReport {
     }
 }
 
-/// The effective worker count for a device with `banks` banks.
-fn effective_shards(requested: usize, banks: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let s = if requested == 0 { hw } else { requested };
-    s.clamp(1, banks.max(1))
-}
-
 /// Characterizes every bank of the device concurrently, one shard per
 /// bank on a worker pool of [`ShardConfig::shards`] threads.
 ///
@@ -236,122 +235,54 @@ pub fn characterize_sharded(
     opts: CharacterizeOptions,
     config: ShardConfig,
 ) -> ShardedReport {
-    let shards = effective_shards(config.shards, profile.banks as usize);
-    run_sharded(profile, seed, opts, shards, |banks, f| {
-        parallel_map(banks, shards, f)
-    })
+    ShardedReport::run(profile, seed, opts, config, &|_| None)
 }
 
-/// The strictly serial reference path: identical per-bank probe plans,
-/// one bank at a time on the calling thread, in bank order. Exists so
-/// the sharded path's determinism can be asserted byte-for-byte, and as
-/// the baseline for the sharded speedup.
+/// The strictly serial reference path: the task engine's per-task
+/// closure mapped over the banks on the calling thread, in bank order,
+/// with no scheduler in between. Exists so the sharded path's
+/// determinism can be asserted byte-for-byte, and as the baseline for
+/// the sharded speedup.
 pub fn characterize_sharded_serial(
     profile: &ChipProfile,
     seed: u64,
     opts: CharacterizeOptions,
 ) -> ShardedReport {
-    run_sharded(profile, seed, opts, 1, |banks, f| {
-        banks.iter().map(f).collect()
-    })
-}
-
-/// One scheduler outcome for one bank: the worker-side wall time paired
-/// with the bank's characterization result. The outer `Err` arm is
-/// reserved for worker panics (mirroring the fleet engine).
-type BankOutcome = Result<(f64, Result<(ChipDossier, RunStats, Registry), CoreError>), CoreError>;
-
-/// The engine under both paths, generic over the scheduler so the
-/// serial reference provably runs the identical per-bank closure.
-fn run_sharded<S>(
-    profile: &ChipProfile,
-    seed: u64,
-    opts: CharacterizeOptions,
-    shards: usize,
-    schedule: S,
-) -> ShardedReport
-where
-    S: FnOnce(&[u32], &(dyn Fn(&u32) -> BankOutcome + Sync)) -> Vec<BankOutcome>,
-{
     let started = Instant::now();
-    let banks: Vec<u32> = (0..profile.banks).collect();
-    // Timing wraps the per-bank run so errored shards keep their cost;
-    // the inner Result is re-wrapped in Ok so the scheduler's error arm
-    // stays reserved for panics (mirroring the fleet engine).
-    let outcomes = schedule(&banks, &|&bank| {
-        let bank_started = Instant::now();
-        let outcome = characterize_bank_instrumented(profile, seed, bank, opts, None);
-        Ok((bank_started.elapsed().as_secs_f64() * 1e3, outcome))
-    });
-    let results = banks
+    let results = Task::banks(profile, seed, opts)
         .iter()
-        .zip(outcomes)
-        .map(|(&bank, outcome)| bank_result(bank, outcome))
+        .map(|task| task_result(task, Ok(run_task(task, None, None)), None))
         .collect();
     ShardedReport {
         label: profile.label(),
         seed,
         results,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        shards,
+        wall_ms: ms_since(started),
+        shards: 1,
     }
 }
 
-/// The fault-injectable twin of [`run_sharded`]'s closure, used by tests
-/// to prove per-bank panic isolation without manufacturing a broken
-/// chip: runs the normal sharded engine but lets the caller wrap the
-/// per-bank body.
-#[cfg(test)]
-fn run_sharded_with<F>(profile: &ChipProfile, seed: u64, f: F) -> ShardedReport
-where
-    F: Fn(u32) -> Result<(ChipDossier, RunStats, Registry), CoreError> + Sync,
-{
-    let started = Instant::now();
-    let banks: Vec<u32> = (0..profile.banks).collect();
-    let outcomes = parallel_map(&banks, banks.len(), |&bank| {
-        let bank_started = Instant::now();
-        let outcome = f(bank);
-        Ok((bank_started.elapsed().as_secs_f64() * 1e3, outcome))
-    });
-    let results = banks
-        .iter()
-        .zip(outcomes)
-        .map(|(&bank, outcome)| bank_result(bank, outcome))
-        .collect();
-    ShardedReport {
-        label: profile.label(),
-        seed,
-        results,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        shards: banks.len(),
-    }
-}
-
-/// Unpacks one scheduler outcome into a [`BankResult`] (shared with the
-/// fleet's two-level scheduler).
-pub(crate) fn bank_result(bank: u32, outcome: BankOutcome) -> BankResult {
-    match outcome {
-        Ok((bank_wall_ms, Ok((dossier, stats, metrics)))) => BankResult {
-            bank,
-            outcome: Ok(dossier),
-            stats,
-            bank_wall_ms,
-            metrics,
-        },
-        Ok((bank_wall_ms, Err(e))) => BankResult {
-            bank,
-            outcome: Err(e),
-            stats: RunStats::default(),
-            bank_wall_ms,
-            metrics: Registry::new(),
-        },
-        Err(e) => BankResult {
-            bank,
-            outcome: Err(e),
-            stats: RunStats::default(),
-            bank_wall_ms: 0.0,
-            metrics: Registry::new(),
-        },
+impl ShardedReport {
+    /// Runs every bank of the device as one task-engine task on
+    /// [`ShardConfig::shards`] workers, with the sink `attach` hands each
+    /// bank (by bank index).
+    pub(crate) fn run(
+        profile: &ChipProfile,
+        seed: u64,
+        opts: CharacterizeOptions,
+        config: ShardConfig,
+        attach: Attach<'_>,
+    ) -> ShardedReport {
+        let started = Instant::now();
+        let shards = effective_workers(config.shards, profile.banks as usize);
+        let results = run_tasks(&Task::banks(profile, seed, opts), shards, None, attach);
+        ShardedReport {
+            label: profile.label(),
+            seed,
+            results,
+            wall_ms: ms_since(started),
+            shards,
+        }
     }
 }
 
@@ -423,12 +354,18 @@ mod tests {
     #[test]
     fn bank_shard_panic_is_isolated_to_its_bank() {
         let profile = dram_sim::ChipProfile::test_small_hbm2();
-        let report = run_sharded_with(&profile, 9, |bank| {
-            if bank == 2 {
-                panic!("injected bank fault");
-            }
-            characterize_bank_instrumented(&profile, 9, bank, small_opts(), None)
-        });
+        let report = ShardedReport::run(
+            &profile,
+            9,
+            small_opts(),
+            ShardConfig { shards: 4 },
+            &|bank| {
+                if bank == 2 {
+                    panic!("injected bank fault");
+                }
+                None
+            },
+        );
         assert_eq!(report.results.len(), 4);
         assert!(!report.all_ok());
         for r in &report.results {
@@ -449,9 +386,9 @@ mod tests {
 
     #[test]
     fn effective_shards_clamps_to_bank_count() {
-        assert_eq!(effective_shards(8, 4), 4);
-        assert_eq!(effective_shards(2, 4), 2);
-        assert_eq!(effective_shards(5, 0), 1);
-        assert!(effective_shards(0, 64) >= 1);
+        assert_eq!(effective_workers(8, 4), 4);
+        assert_eq!(effective_workers(2, 4), 2);
+        assert_eq!(effective_workers(5, 0), 1);
+        assert!(effective_workers(0, 64) >= 1);
     }
 }

@@ -5,25 +5,28 @@
 //! The contract these functions implement is the regression invariant the
 //! test suite and CI assert on:
 //!
-//! 1. [`record_characterization`] runs the standard flow with a recorder
-//!    attached to the primary testbed and stores the characterization
-//!    options and the dossier digest in the trace header.
-//! 2. [`replay_characterization`] re-runs the *same* flow from nothing
-//!    but the trace — profile found by label, options parsed back from
-//!    header meta — while a verifier checks the live command stream
-//!    against the recording event-by-event. The replayed dossier must
-//!    render byte-identically (same digest).
+//! 1. [`record_characterization_instrumented`] runs the standard flow with
+//!    a recorder attached to the primary testbed and stores the
+//!    characterization options and the dossier digest in the trace header.
+//! 2. [`replay_characterization_instrumented`] re-runs the *same* flow
+//!    from nothing but the trace — profile found by label, options parsed
+//!    back from header meta — while a verifier checks the live command
+//!    stream against the recording event-by-event. The replayed dossier
+//!    must render byte-identically (same digest).
 //! 3. [`replay_benchmark`] re-drives a bare chip from the trace (no
 //!    characterization logic at all) and reports commands/second through
 //!    the same [`RunStats`] machinery the fleet engine uses.
+//!
+//! The sharded pair ([`record_characterization_sharded`],
+//! [`replay_characterization_sharded`]) runs one task-engine task per
+//! bank, each with its own recorder or verifier.
 
 use crate::dossier::{
-    characterize_bank_instrumented, characterize_instrumented, CharacterizeOptions, ChipDossier,
-    PhaseStat, RunStats,
+    characterize_instrumented, CharacterizeOptions, ChipDossier, PhaseStat, RunStats, Task,
 };
 use crate::error::CoreError;
-use crate::fleet::parallel_map;
-use crate::shard::{ShardConfig, ShardedDossier};
+use crate::fleet::run_tasks;
+use crate::shard::{ShardConfig, ShardedDossier, ShardedReport};
 use dram_sim::{ChipProfile, Time};
 use dram_telemetry::Registry;
 use dram_trace::{
@@ -31,7 +34,7 @@ use dram_trace::{
 };
 use std::time::Instant;
 
-/// Meta keys under which [`record_characterization`] stores its options.
+/// Meta keys under which the recorders store the characterization options.
 const META_SCAN_ROWS: &str = "scan_rows";
 const META_WITH_SWIZZLE: &str = "with_swizzle";
 const META_PROBE_LO: &str = "probe_lo";
@@ -49,26 +52,13 @@ const META_SHARD_BANKS: &str = "shard_banks";
 pub use dram_trace::SHARD_MARKER_PREFIX;
 
 /// Runs a full characterization with a recorder attached and returns the
-/// dossier, its run stats, and the captured trace.
+/// dossier, its run stats, the captured trace, and the metrics
+/// [`Registry`] collected live during the recorded run.
 ///
 /// The trace header carries the profile label, seed, geometry hash, the
 /// dossier digest, and the characterization options as meta pairs — i.e.
-/// everything [`replay_characterization`] needs to reproduce and verify
-/// the run from the trace alone.
-///
-/// # Errors
-///
-/// Propagates characterization failures.
-pub fn record_characterization(
-    profile: &ChipProfile,
-    seed: u64,
-    opts: CharacterizeOptions,
-) -> Result<(ChipDossier, RunStats, Trace), CoreError> {
-    record_characterization_instrumented(profile, seed, opts).map(|(d, s, t, _)| (d, s, t))
-}
-
-/// [`record_characterization`] plus telemetry: also returns the metrics
-/// [`Registry`] collected live during the recorded run.
+/// everything [`replay_characterization_instrumented`] needs to reproduce
+/// and verify the run from the trace alone.
 ///
 /// The recorder and the metrics sink ride the same testbed, so
 /// `dram_trace::trace_metrics` over the returned trace reproduces the
@@ -113,27 +103,17 @@ pub fn record_characterization_sharded(
     opts: CharacterizeOptions,
     config: ShardConfig,
 ) -> Result<(ShardedDossier, Trace, Registry), CoreError> {
-    let banks: Vec<u32> = (0..profile.banks).collect();
-    let outcomes = parallel_map(&banks, config.shards, |&bank| {
-        let recorder = SharedRecorder::unbounded();
-        let (dossier, _, metrics) =
-            characterize_bank_instrumented(profile, seed, bank, opts, Some(recorder.sink()))?;
-        Ok((dossier, recorder.finish(profile, seed), metrics))
+    let recorders: Vec<SharedRecorder> = (0..profile.banks)
+        .map(|_| SharedRecorder::unbounded())
+        .collect();
+    let report = ShardedReport::run(profile, seed, opts, config, &|bank| {
+        Some(recorders[bank].sink())
     });
-    let mut dossiers = Vec::with_capacity(banks.len());
-    let mut segments = Vec::with_capacity(banks.len());
-    let mut registries = Vec::with_capacity(banks.len());
-    for (&bank, outcome) in banks.iter().zip(outcomes) {
-        let (dossier, segment, metrics) =
-            outcome.map_err(|e| CoreError::from(format!("bank {bank} failed: {e}")))?;
-        dossiers.push((bank, dossier));
-        segments.push(segment);
-        registries.push(metrics);
-    }
-    let sharded = ShardedDossier {
-        label: profile.label(),
-        banks: dossiers,
-    };
+    let sharded = report.dossier()?;
+    let segments: Vec<Trace> = recorders
+        .iter()
+        .map(|recorder| recorder.finish(profile, seed))
+        .collect();
     let mut trace = Trace::concat(&segments)
         .map_err(|e| CoreError::from(format!("merging shard traces failed: {e}")))?;
     trace.header.dossier_digest = Some(sharded.digest());
@@ -142,7 +122,7 @@ pub fn record_characterization_sharded(
         .header
         .meta
         .push((META_SHARD_BANKS.into(), profile.banks.to_string()));
-    Ok((sharded, trace, Registry::merged(registries.iter())))
+    Ok((sharded, trace, report.merged_metrics()))
 }
 
 /// Re-runs the sharded characterization a trace captured and verifies it
@@ -158,7 +138,8 @@ pub fn record_characterization_sharded(
 ///
 /// Fails on traces without the `shard_banks` meta key, unknown profiles,
 /// changed geometry, partial traces, segment-count mismatches, malformed
-/// markers, command-stream divergence, and digest mismatches.
+/// markers, segments out of bank order, command-stream divergence, and
+/// digest mismatches.
 pub fn replay_characterization_sharded(
     trace: &Trace,
 ) -> Result<(ShardedDossier, Registry), CoreError> {
@@ -181,23 +162,38 @@ pub fn replay_characterization_sharded(
         )
         .into());
     }
+    // Segment i must be bank i's. The digest is optional in the format,
+    // so without this a duplicated or reordered segment would replay
+    // "verified" into a dossier that repeats or permutes banks.
+    let mut tasks = Vec::with_capacity(n);
+    for (i, segment) in segments.iter().enumerate() {
+        let bank = segment_bank(segment)?;
+        if bank as usize != i {
+            return Err(format!(
+                "sharded trace segment {i} opens with shard:bank={bank}, expected shard:bank={i}"
+            )
+            .into());
+        }
+        tasks.push(Task {
+            profile: &profile,
+            seed: trace.header.seed,
+            opts,
+            bank: Some(bank),
+        });
+    }
+    let verifiers: Vec<SharedVerifier> = segments.iter().map(SharedVerifier::new).collect();
+    drop(segments);
+    let results = run_tasks(&tasks, 1, None, &|bank| Some(verifiers[bank].sink()));
     let mut banks = Vec::with_capacity(n);
     let mut registries = Vec::with_capacity(n);
-    for segment in &segments {
-        let bank = segment_bank(segment)?;
-        let verifier = SharedVerifier::new(segment);
-        let (dossier, _, metrics) = characterize_bank_instrumented(
-            &profile,
-            trace.header.seed,
-            bank,
-            opts,
-            Some(verifier.sink()),
-        )?;
+    for (result, verifier) in results.into_iter().zip(&verifiers) {
+        let bank = result.bank;
+        let dossier = result.outcome?;
         verifier
             .finish()
             .map_err(|d| CoreError::from(format!("bank {bank} replay diverged from trace: {d}")))?;
         banks.push((bank, dossier));
-        registries.push(metrics);
+        registries.push(result.metrics);
     }
     let sharded = ShardedDossier {
         label: profile.label(),
@@ -228,31 +224,22 @@ fn segment_bank(segment: &Trace) -> Result<u32, CoreError> {
 }
 
 /// Re-runs the characterization a trace captured and verifies it
-/// reproduces bit-for-bit.
+/// reproduces bit-for-bit, returning the replayed dossier, its run stats
+/// and the metrics [`Registry`] collected during the verified re-run.
 ///
 /// The profile is resolved from the trace's label, the options from its
 /// meta pairs. A [`SharedVerifier`] rides along on the primary testbed
 /// and checks every live command (timestamp, payload, and outcome —
 /// read data included) against the recording; afterwards the replayed
-/// dossier's digest must equal the recorded one.
-///
-/// # Errors
-///
-/// Fails on unknown profile labels, changed geometry, partial traces,
-/// malformed meta, any command-stream divergence, and digest mismatches.
-pub fn replay_characterization(trace: &Trace) -> Result<(ChipDossier, RunStats), CoreError> {
-    replay_characterization_instrumented(trace).map(|(d, s, _)| (d, s))
-}
-
-/// [`replay_characterization`] plus telemetry: also returns the metrics
-/// [`Registry`] collected during the verified re-run. Identical to what
-/// the original recorded run would have collected (and to
+/// dossier's digest must equal the recorded one. The registry is
+/// identical to what the original recorded run collected (and to
 /// `dram_trace::trace_metrics` over the trace), since all three consume
 /// the same event stream.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`replay_characterization`].
+/// Fails on unknown profile labels, changed geometry, partial traces,
+/// malformed meta, any command-stream divergence, and digest mismatches.
 pub fn replay_characterization_instrumented(
     trace: &Trace,
 ) -> Result<(ChipDossier, RunStats, Registry), CoreError> {
@@ -375,8 +362,8 @@ mod tests {
     #[test]
     fn record_then_verify_replay_round_trips() {
         let profile = ChipProfile::test_small();
-        let (dossier, _, trace) =
-            record_characterization(&profile, 123, small_opts()).expect("record");
+        let (dossier, _, trace, _) =
+            record_characterization_instrumented(&profile, 123, small_opts()).expect("record");
         assert_eq!(trace.header.profile_label, profile.label());
         assert_eq!(trace.header.dossier_digest, Some(dossier.digest()));
         assert!(trace.events.len() > 100, "{} events", trace.events.len());
@@ -388,7 +375,8 @@ mod tests {
         // Through bytes, then a full verified re-characterization.
         let decoded = Trace::from_bytes(&trace.to_bytes()).expect("decode");
         assert_eq!(decoded, trace);
-        let (replayed, _) = replay_characterization(&decoded).expect("replay verifies");
+        let (replayed, _, _) =
+            replay_characterization_instrumented(&decoded).expect("replay verifies");
         assert_eq!(replayed.to_string(), dossier.to_string());
         assert_eq!(replayed.digest(), dossier.digest());
     }
@@ -396,41 +384,43 @@ mod tests {
     #[test]
     fn replay_rejects_bad_identity_and_tampered_digest() {
         let profile = ChipProfile::test_small();
-        let (_, _, trace) = record_characterization(&profile, 5, small_opts()).expect("record");
+        let (_, _, trace, _) =
+            record_characterization_instrumented(&profile, 5, small_opts()).expect("record");
 
         let mut unknown = trace.clone();
         unknown.header.profile_label = "No Such Chip".into();
-        let err = replay_characterization(&unknown).expect_err("unknown label");
+        let err = replay_characterization_instrumented(&unknown).expect_err("unknown label");
         assert!(err.to_string().contains("not a known preset"), "{err}");
 
         let mut geo = trace.clone();
         geo.header.geometry_hash ^= 1;
-        let err = replay_characterization(&geo).expect_err("geometry mismatch");
+        let err = replay_characterization_instrumented(&geo).expect_err("geometry mismatch");
         assert!(err.to_string().contains("geometry changed"), "{err}");
 
         let mut partial = trace.clone();
         partial.header.dropped = 1;
-        let err = replay_characterization(&partial).expect_err("partial trace");
+        let err = replay_characterization_instrumented(&partial).expect_err("partial trace");
         assert!(err.to_string().contains("partial"), "{err}");
 
         let mut missing = trace.clone();
         missing.header.meta.retain(|(k, _)| k != "scan_rows");
-        let err = replay_characterization(&missing).expect_err("missing meta");
+        let err = replay_characterization_instrumented(&missing).expect_err("missing meta");
         assert!(err.to_string().contains("missing \"scan_rows\""), "{err}");
 
         let mut digest = trace.clone();
         digest.header.dossier_digest = Some(0xbad);
-        let err = replay_characterization(&digest).expect_err("digest mismatch");
+        let err = replay_characterization_instrumented(&digest).expect_err("digest mismatch");
         assert!(err.to_string().contains("digest mismatch"), "{err}");
     }
 
     #[test]
     fn wrong_seed_diverges_during_verified_replay() {
         let profile = ChipProfile::test_small();
-        let (_, _, mut trace) = record_characterization(&profile, 9, small_opts()).expect("record");
+        let (_, _, mut trace, _) =
+            record_characterization_instrumented(&profile, 9, small_opts()).expect("record");
         trace.header.seed ^= 1;
         trace.header.dossier_digest = None;
-        let err = replay_characterization(&trace).expect_err("reseeded replay");
+        let err = replay_characterization_instrumented(&trace).expect_err("reseeded replay");
         assert!(err.to_string().contains("diverged"), "{err}");
     }
 
@@ -506,7 +496,8 @@ mod tests {
     #[test]
     fn sharded_replay_rejects_unsharded_and_tampered_traces() {
         let profile = ChipProfile::test_small();
-        let (_, _, plain) = record_characterization(&profile, 5, small_opts()).expect("record");
+        let (_, _, plain, _) =
+            record_characterization_instrumented(&profile, 5, small_opts()).expect("record");
         let err = replay_characterization_sharded(&plain).expect_err("unsharded trace");
         assert!(err.to_string().contains("not sharded"), "{err}");
 
@@ -529,9 +520,61 @@ mod tests {
     }
 
     #[test]
+    fn sharded_replay_names_the_diverging_bank() {
+        let profile = ChipProfile::test_small();
+        let (_, mut trace, _) =
+            record_characterization_sharded(&profile, 5, small_opts(), ShardConfig::default())
+                .expect("record");
+        // Nudge the timestamp of the first command in bank 1's segment.
+        let bank1 = trace
+            .events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::Marker { label } if label == "shard:bank=1"))
+            .expect("bank 1 segment");
+        let at = trace.events[bank1..]
+            .iter_mut()
+            .find_map(|e| match e {
+                TraceEvent::Command { at, .. } => Some(at),
+                _ => None,
+            })
+            .expect("a command in bank 1's segment");
+        *at = Time::from_ps(at.as_ps() + 1);
+        let err = replay_characterization_sharded(&trace).expect_err("tampered bank 1");
+        assert!(
+            err.to_string()
+                .contains("bank 1 replay diverged from trace: "),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn sharded_replay_rejects_a_duplicated_bank_segment() {
+        // [bank 0, bank 0] with `shard_banks=2` and no dossier digest:
+        // every segment replays cleanly on its own, so only the bank
+        // order check stands between this trace and a "verified" replay.
+        let profile = ChipProfile::test_small();
+        let (_, trace, _) =
+            record_characterization_sharded(&profile, 5, small_opts(), ShardConfig::default())
+                .expect("record");
+        let bank0 = trace.split_at_markers(SHARD_MARKER_PREFIX).swap_remove(0);
+        let mut duplicated = Trace::concat(&[bank0.clone(), bank0]).expect("concat");
+        duplicated.header.meta = trace.header.meta.clone();
+        assert_eq!(duplicated.header.meta("shard_banks"), Some("2"));
+        assert_eq!(duplicated.header.dossier_digest, None);
+        let decoded = Trace::from_bytes(&duplicated.to_bytes()).expect("decode");
+        let err = replay_characterization_sharded(&decoded).expect_err("duplicated bank segment");
+        assert!(
+            err.to_string()
+                .contains("segment 1 opens with shard:bank=0, expected shard:bank=1"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn replay_benchmark_reports_throughput_phases() {
         let profile = ChipProfile::test_small();
-        let (_, _, trace) = record_characterization(&profile, 1, small_opts()).expect("record");
+        let (_, _, trace, _) =
+            record_characterization_instrumented(&profile, 1, small_opts()).expect("record");
         let stats = replay_benchmark(&trace, 2).expect("benchmark");
         assert_eq!(stats.phases.len(), 2);
         assert!(stats.phases.iter().all(|p| p.name == "replay"));

@@ -11,8 +11,7 @@
 use dramscope::core::dossier::CharacterizeOptions;
 use dramscope::core::Table;
 use dramscope::core::{
-    record_characterization, record_characterization_instrumented, replay_benchmark,
-    replay_characterization,
+    record_characterization_instrumented, replay_benchmark, replay_characterization_instrumented,
 };
 use dramscope::sim::{ChipProfile, Time};
 use dramscope::trace::{replay_on_chip, trace_metrics, IndexedTrace, Trace, TraceError};
@@ -84,7 +83,7 @@ fn golden_traces_verified_replay_reproduces_dossier_digest() {
         // Re-runs the full characterization with a verifier riding along;
         // internally asserts the command stream matches event-by-event
         // and the replayed dossier digest equals the recorded one.
-        let (dossier, stats) = replay_characterization(&trace)
+        let (dossier, stats, _) = replay_characterization_instrumented(&trace)
             .unwrap_or_else(|e| panic!("{name}: golden replay failed: {e}"));
         assert_eq!(
             Some(dossier.digest()),
@@ -187,13 +186,13 @@ fn record_serialize_replay_round_trip_per_vendor_profile() {
     for (name, _) in GOLDEN {
         let profile = profile_for(name);
         let opts = opts_for(name);
-        let (dossier, _, trace) =
-            record_characterization(&profile, 7, opts).expect("record succeeds");
+        let (dossier, _, trace, _) =
+            record_characterization_instrumented(&profile, 7, opts).expect("record succeeds");
 
         let decoded = Trace::from_bytes(&trace.to_bytes()).expect("round trip decodes");
         assert_eq!(decoded, trace, "{name}");
 
-        let (replayed, _) = replay_characterization(&decoded)
+        let (replayed, _, _) = replay_characterization_instrumented(&decoded)
             .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
         assert_eq!(
             replayed.to_string(),

@@ -109,7 +109,7 @@ fn sharded_fleet_regroups_to_the_serial_reference() {
         .into_iter()
         .map(|profile| fleet::FleetJob { profile, opts })
         .collect();
-    let report = fleet::run_fleet_sharded(&jobs, 77, fleet::FleetConfig { workers: 3 });
+    let report = fleet::run_fleet_sharded(&jobs, 77, fleet::FleetConfig { workers: 3 }, None);
     assert!(report.all_ok(), "{}", report.table());
     assert_eq!(report.tasks, 2 + 4);
     for (job, sharded) in jobs.iter().zip(&report.profiles) {
