@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::ObsError;
-use dram_perf::json::{parse, Value};
+use dram_telemetry::json::{self, Value};
 
 /// Event severity, ordered `Debug < Info < Warn < Error` so filters can
 /// use `>=`.
@@ -71,12 +71,7 @@ impl fmt::Display for Severity {
 
 /// A scalar event field value.
 ///
-/// Numbers are integers only: journal lines travel through an f64-based
-/// JSON reader, so writers must keep magnitudes within 2^53 for exact
-/// round-tripping (64-bit digests and the like are rendered as hex
-/// strings everywhere in this repo, so in practice only picosecond
-/// clocks come close, and 2^53 ps is ~2.5 hours of simulated time —
-/// far beyond any campaign's clock).
+/// Numbers are integers only, exact across their whole 64-bit range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FieldValue {
     /// A non-negative integer.
@@ -94,7 +89,7 @@ impl FieldValue {
         match self {
             FieldValue::U64(v) => out.push_str(&v.to_string()),
             FieldValue::I64(v) => out.push_str(&v.to_string()),
-            FieldValue::Str(s) => out.push_str(&json_string(s)),
+            FieldValue::Str(s) => out.push_str(&json::string(s)),
             FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
@@ -170,14 +165,14 @@ impl Event {
         out.push_str(",\"sev\":\"");
         out.push_str(self.severity.as_str());
         out.push_str("\",\"kind\":");
-        out.push_str(&json_string(&self.kind));
+        out.push_str(&json::string(&self.kind));
         if let Some(run) = &self.run_id {
             out.push_str(",\"run\":");
-            out.push_str(&json_string(run));
+            out.push_str(&json::string(run));
         }
         if let Some(job) = &self.job_id {
             out.push_str(",\"job\":");
-            out.push_str(&json_string(job));
+            out.push_str(&json::string(job));
         }
         if let Some(shard) = self.shard {
             out.push_str(",\"shard\":");
@@ -207,31 +202,11 @@ fn render_map(map: &BTreeMap<String, FieldValue>, out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_string(k));
+        out.push_str(&json::string(k));
         out.push(':');
         v.render(out);
     }
     out.push('}');
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// the same convention the telemetry snapshot writer uses.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The keys an event line may carry, in their canonical render order.
@@ -246,8 +221,8 @@ const EVENT_KEYS: [&str; 8] = [
 /// oversized numbers, and non-scalar field values are all structured
 /// errors.
 pub fn decode_event(line: &str) -> Result<Event, ObsError> {
-    let value =
-        parse("journal", line).map_err(|e| ObsError::decode(format!("not valid JSON: {e}")))?;
+    let value = json::parse("journal", line)
+        .map_err(|e| ObsError::decode(format!("not valid JSON: {e}")))?;
     let obj = value
         .as_object()
         .ok_or_else(|| ObsError::decode("event line is not a JSON object"))?;
@@ -321,29 +296,18 @@ fn decode_map(value: Option<&Value>, what: &str) -> Result<BTreeMap<String, Fiel
         let fv = match v {
             Value::String(s) => FieldValue::Str(s.clone()),
             Value::Bool(b) => FieldValue::Bool(*b),
-            Value::Number(n) => decode_number(*n)
-                .ok_or_else(|| ObsError::decode(format!("{what:?}.{k:?} is not an integer")))?,
+            Value::U64(n) => FieldValue::U64(*n),
+            Value::I64(n) => FieldValue::I64(*n),
+            Value::F64(_) => {
+                return Err(ObsError::decode(format!(
+                    "{what:?}.{k:?} is not an integer"
+                )))
+            }
             _ => return Err(ObsError::decode(format!("{what:?}.{k:?} is not a scalar"))),
         };
         out.insert(k.clone(), fv);
     }
     Ok(out)
-}
-
-/// Integer magnitudes above 2^53 cannot have round-tripped through the
-/// f64 reader exactly, so they are rejected rather than silently
-/// rounded.
-const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-
-fn decode_number(n: f64) -> Option<FieldValue> {
-    if !n.is_finite() || n.fract() != 0.0 || n.abs() > MAX_EXACT {
-        return None;
-    }
-    if n >= 0.0 {
-        Some(FieldValue::U64(n as u64))
-    } else {
-        Some(FieldValue::I64(n as i64))
-    }
 }
 
 #[cfg(test)]
@@ -458,12 +422,27 @@ mod tests {
     }
 
     #[test]
-    fn numbers_reject_precision_loss_accept_exact() {
-        assert_eq!(decode_number(0.0), Some(FieldValue::U64(0)));
-        assert_eq!(decode_number(-3.0), Some(FieldValue::I64(-3)));
-        assert_eq!(decode_number(MAX_EXACT), Some(FieldValue::U64(1 << 53)));
-        assert_eq!(decode_number(MAX_EXACT * 2.0), None);
-        assert_eq!(decode_number(f64::NAN), None);
-        assert_eq!(decode_number(0.5), None);
+    fn integer_fields_decode_exactly_and_other_numbers_are_rejected() {
+        let line = |n: &str| {
+            format!("{{\"seq\":1,\"sev\":\"info\",\"kind\":\"x\",\"fields\":{{\"n\":{n}}}}}")
+        };
+        let exact = [
+            ("0", FieldValue::U64(0)),
+            ("-3", FieldValue::I64(-3)),
+            ("9007199254740993", FieldValue::U64((1 << 53) + 1)),
+            ("18446744073709551615", FieldValue::U64(u64::MAX)),
+            ("-9223372036854775808", FieldValue::I64(i64::MIN)),
+        ];
+        for (n, want) in exact {
+            let event = decode_event(&line(n)).unwrap_or_else(|e| panic!("{n}: {e}"));
+            assert_eq!(event.field("n"), Some(&want), "{n}");
+            assert_eq!(event.line(), line(n), "{n} re-encodes to the same bytes");
+        }
+        for n in ["0.5", "1e3", "1e99"] {
+            let err = decode_event(&line(n)).expect_err(n);
+            assert!(err.to_string().contains("is not an integer"), "{n}: {err}");
+        }
+        let over = "{\"seq\":18446744073709551616,\"sev\":\"info\",\"kind\":\"x\"}";
+        assert!(matches!(decode_event(over), Err(ObsError::Decode { .. })));
     }
 }

@@ -59,7 +59,6 @@
 pub mod bench;
 pub mod error;
 pub mod gate;
-pub mod json;
 pub mod profiler;
 pub mod sink;
 pub mod snapshot;
@@ -72,3 +71,7 @@ pub use profiler::{Profiler, SpanNode, SpanTree, ROOT_NAME};
 pub use sink::{ProfilerSink, SharedProfiler};
 pub use snapshot::{HostInfo, PerfSnapshot, SuiteStats, SCHEMA, SCHEMA_VERSION};
 pub use stats::SampleStats;
+
+// Kept only for the `perfbench` harness, which reads its answers
+// through `dram_perf::json`; the codec lives in `dram_telemetry`.
+pub use dram_telemetry::json;

@@ -30,7 +30,7 @@
 //! closed at [`Profiler::finish`]; an exit that skips over open inner
 //! spans closes those inner spans at the same instant.
 
-use dram_telemetry::{parse_marker, MarkerKind};
+use dram_telemetry::{json, parse_marker, MarkerKind};
 
 /// Name given to the synthetic root node covering the whole run.
 pub const ROOT_NAME: &str = "run";
@@ -327,7 +327,7 @@ fn render_json(node: &SpanNode, out: &mut String) {
     out.push_str(&format!(
         "{{\"name\":{},\"calls\":{},\"wall_ns\":{},\"self_ns\":{},\
          \"sim_ps\":{},\"commands\":{},\"children\":[",
-        json_string(&node.name),
+        json::string(&node.name),
         node.calls,
         node.wall_ns,
         node.self_ns(),
@@ -381,24 +381,6 @@ fn render_structure(node: &SpanNode, depth: usize, out: &mut String) {
     for child in &node.children {
         render_structure(child, depth + 1, out);
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -568,7 +550,7 @@ mod tests {
         );
         assert!(json.contains("\"name\":\"probe\""), "{json}");
         // The JSON parses back with this crate's own reader.
-        let v = crate::json::parse("spans.json", &json).expect("self-parse");
+        let v = json::parse("spans.json", &json).expect("self-parse");
         assert_eq!(
             v.as_object().unwrap()["root"].as_object().unwrap()["name"].as_str(),
             Some(ROOT_NAME)

@@ -11,7 +11,7 @@
 
 use crate::bench::BenchResult;
 use crate::error::PerfError;
-use crate::json::{self, Value};
+use dram_telemetry::json::{self, Value};
 use std::collections::BTreeMap;
 
 /// Schema identifier stored in every snapshot.
@@ -103,17 +103,17 @@ impl PerfSnapshot {
         out.push_str("  \"host\": {\n");
         out.push_str(&format!(
             "    \"arch\": {},\n",
-            json_string(&self.host.arch)
+            json::string(&self.host.arch)
         ));
         out.push_str(&format!("    \"cores\": {},\n", self.host.cores));
-        out.push_str(&format!("    \"os\": {}\n", json_string(&self.host.os)));
+        out.push_str(&format!("    \"os\": {}\n", json::string(&self.host.os)));
         out.push_str("  },\n");
         out.push_str("  \"suites\": {");
         for (i, (name, s)) in self.suites.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {}: {{\n", json_string(name)));
+            out.push_str(&format!("\n    {}: {{\n", json::string(name)));
             out.push_str(&format!("      \"commands\": {},\n", s.commands));
             out.push_str(&format!(
                 "      \"commands_per_sec\": {:.1},\n",
@@ -140,7 +140,11 @@ impl PerfSnapshot {
             path: path.to_string(),
             what,
         };
-        let doc = json::parse(path, text)?;
+        let doc = json::parse(path, text).map_err(|e| PerfError::Parse {
+            path: e.label,
+            offset: e.offset,
+            what: e.what,
+        })?;
         let root = doc
             .as_object()
             .ok_or_else(|| schema_err("document is not an object".into()))?;
@@ -234,24 +238,6 @@ impl PerfSnapshot {
     pub fn save(&self, path: &str) -> Result<(), PerfError> {
         std::fs::write(path, self.to_json()).map_err(|e| PerfError::io("write", path, &e))
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -39,8 +39,8 @@
 //! they are the restart story, not the memory-bound story.
 
 use crate::service::{DossierKey, JobOutput};
-use dram_perf::json::{self, Value};
 use dram_sim::digest::fnv1a_64;
+use dram_telemetry::json::{self, Value};
 use dram_telemetry::Registry;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -119,12 +119,12 @@ pub fn encode_entry(output: &JobOutput) -> Vec<u8> {
             "{{\"label\":{},\"composition\":{},\"digest\":\"0x{:016x}\",",
             "\"commands\":{},\"bitflips\":{},\"dossier\":{}}}"
         ),
-        json_string(&output.label),
-        json_string(&output.composition),
+        json::string(&output.label),
+        json::string(&output.composition),
         output.digest,
         output.commands,
         output.bitflips,
-        json_string(&output.dossier),
+        json::string(&output.dossier),
     );
     let mut out = Vec::with_capacity(payload.len() + 32);
     out.extend_from_slice(ENTRY_MAGIC.as_bytes());
@@ -178,8 +178,8 @@ pub fn decode_entry(bytes: &[u8]) -> Result<JobOutput, String> {
             .and_then(Value::as_u64)
             .ok_or_else(|| format!("missing or non-integer \"{key}\""))
     };
-    // The dossier digest is a full 64-bit value; it travels as a hex
-    // string because a JSON number would round through f64.
+    // The dossier digest stays a hex string, as the entry format has
+    // always written it, so existing cache files keep loading.
     let digest = want_str("digest")?;
     let digest = digest
         .strip_prefix("0x")
@@ -352,13 +352,6 @@ impl DossierStore {
         }
         evicted
     }
-}
-
-/// Escapes a string into a JSON string literal — the same rendering as
-/// [`crate::protocol::json_string`], re-exported here so the cache file
-/// format has no dependency on the wire protocol module.
-fn json_string(value: &str) -> String {
-    crate::protocol::json_string(value)
 }
 
 #[cfg(test)]

@@ -38,13 +38,14 @@
 
 use crate::profiles;
 use crate::protocol::{
-    error_line, json_string, parse_request, CharacterizeRequest, ProtocolError, QueryRequest,
-    Request, MAX_REQUEST_BYTES,
+    error_line, parse_request, CharacterizeRequest, ProtocolError, QueryRequest, Request,
+    MAX_REQUEST_BYTES,
 };
 use crate::service::{CacheStatus, JobOutput, JobSpec, Service, ServiceError};
 use dram_obs::EventDraft;
 use dram_perf::SharedProfiler;
 use dram_sim::{ChipEvent, CommandSink, Tee};
+use dram_telemetry::json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -78,7 +79,7 @@ impl<W: Write> CommandSink for ProgressSink<W> {
         let line = format!(
             "{{\"resp\":\"progress\",\"id\":{},\"marker\":{}}}\n",
             self.id,
-            json_string(label)
+            json::string(label)
         );
         // A panic elsewhere while the writer was held must not mute
         // progress for every later job: take the lock poisoned or not.
@@ -112,17 +113,17 @@ fn result_line(
         ),
         id,
         status.as_str(),
-        json_string(&spec.profile_name),
-        json_string(&output.label),
+        json::string(&spec.profile_name),
+        json::string(&output.label),
         spec.seed,
         spec.sharded,
         key.profile_digest,
         key.geometry_digest,
         output.digest,
-        json_string(&output.composition),
+        json::string(&output.composition),
         output.commands,
         output.bitflips,
-        json_string(&output.dossier),
+        json::string(&output.dossier),
     );
     if let Some(spans) = spans {
         line.pop();
@@ -225,7 +226,7 @@ fn query_line(id: &str, service: &Service, req: &QueryRequest) -> String {
         Ok(report) => format!(
             "{{\"resp\":\"query\",\"id\":{},\"dir\":{},\"matched\":{},\"report\":{}}}",
             id,
-            json_string(&lake.root().display().to_string()),
+            json::string(&lake.root().display().to_string()),
             report.is_match(),
             report.to_json(),
         ),
@@ -243,7 +244,7 @@ fn metrics_line(id: &str, service: &Service) -> String {
     format!(
         "{{\"resp\":\"metrics\",\"id\":{},\"content_type\":\"text/plain; version=0.0.4\",\"body\":{}}}",
         id,
-        json_string(&service.metrics_prometheus()),
+        json::string(&service.metrics_prometheus()),
     )
 }
 
@@ -738,6 +739,30 @@ mod tests {
     }
 
     #[test]
+    fn seeds_past_two_to_the_53_are_two_jobs() {
+        // 2^53 + 1 and 2^53 are one f64 but two chips: both must run,
+        // and neither may be served the other's dossier.
+        let input = "\
+            {\"req\":\"characterize\",\"id\":9007199254740993,\"profile\":\"test_small\",\"seed\":9007199254740993}\n\
+            {\"req\":\"characterize\",\"id\":9007199254740992,\"profile\":\"test_small\",\"seed\":9007199254740992}\n";
+        let (lines, executions) = drive(input);
+        assert_eq!(executions, 2, "{lines:?}");
+        for (line, n) in lines.iter().zip(["9007199254740993", "9007199254740992"]) {
+            assert!(line.contains("\"cache\":\"miss\""), "{line}");
+            assert!(line.contains(&format!("\"id\":{n},")), "{line}");
+            assert!(line.contains(&format!("\"seed\":{n},")), "{line}");
+        }
+        let digest = |line: &str| {
+            json::parse("result", line)
+                .expect("result line")
+                .as_object()
+                .and_then(|o| o.get("dossier_digest").cloned())
+                .expect("digest field")
+        };
+        assert_ne!(digest(&lines[0]), digest(&lines[1]));
+    }
+
+    #[test]
     fn malformed_lines_answer_errors_and_never_kill_the_loop() {
         let input = "\
             not json at all\n\
@@ -830,7 +855,7 @@ mod tests {
             assert!(line.contains(&format!("\"{field}\":")), "{line}");
         }
         // The whole stats line must itself parse as JSON.
-        dram_perf::json::parse("stats", line).expect("stats line is valid JSON");
+        json::parse("stats", line).expect("stats line is valid JSON");
     }
 
     #[test]
@@ -891,7 +916,7 @@ mod tests {
         assert!(last.contains("\"next_seq\":"), "{last}");
         // Each event line parses as JSON.
         for line in &joined {
-            dram_perf::json::parse("events", line).expect("event line is valid JSON");
+            json::parse("events", line).expect("event line is valid JSON");
         }
     }
 
@@ -910,7 +935,7 @@ mod tests {
             line.contains("\"content_type\":\"text/plain; version=0.0.4\""),
             "{line}"
         );
-        let parsed = dram_perf::json::parse("metrics", line).expect("valid JSON");
+        let parsed = json::parse("metrics", line).expect("valid JSON");
         let body = parsed
             .as_object()
             .and_then(|o| o.get("body"))
@@ -1016,7 +1041,7 @@ mod tests {
         assert!(lines[1].contains("\"matched\":false"), "{}", lines[1]);
         // Both lines parse as JSON and the tail is byte-stable.
         for line in &lines {
-            dram_perf::json::parse("query", line).expect("query line is valid JSON");
+            json::parse("query", line).expect("query line is valid JSON");
         }
         let writer2 = Arc::new(Mutex::new(Vec::<u8>::new()));
         handle_connection(&service, input.as_bytes(), &writer2).expect("transport ok");
@@ -1397,6 +1422,6 @@ mod tests {
         // The cached response ran nothing, so it carries no span tree.
         assert!(lines[1].contains("\"cache\":\"hit\""), "{}", lines[1]);
         assert!(!lines[1].contains("\"spans\":"), "{}", lines[1]);
-        dram_perf::json::parse("result", &lines[0]).expect("result with spans is valid JSON");
+        json::parse("result", &lines[0]).expect("result with spans is valid JSON");
     }
 }

@@ -55,11 +55,15 @@
 //! instead).
 
 use crate::profiles;
-use dram_perf::json::{self, Value};
 use dram_sim::Time;
+use dram_telemetry::json::{self, Value};
 use dramscope_core::dossier::CharacterizeOptions;
 use std::collections::BTreeMap;
 use std::fmt;
+
+// Kept only for the `perfbench` harness, which times dossier rendering
+// through `protocol::json_string`; the writer is `dram_telemetry::json`.
+pub use dram_telemetry::json::string as json_string;
 
 /// Hard ceiling on one request line, bytes. Lines longer than this are
 /// answered with an error and discarded without buffering the excess.
@@ -181,33 +185,12 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Escapes a string into a JSON string literal (quotes included).
-pub fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders an `{"resp":"error",...}` line (no trailing newline).
 pub fn error_line(err: &ProtocolError) -> String {
     format!(
         "{{\"resp\":\"error\",\"id\":{},\"error\":{}}}",
         err.id,
-        json_string(&err.message)
+        json::string(&err.message)
     )
 }
 
@@ -219,11 +202,11 @@ fn err(id: &str, message: impl Into<String>) -> ProtocolError {
 }
 
 /// Extracts the request id as a pre-rendered JSON token: strings stay
-/// strings, non-negative integers stay numbers, everything else (or a
-/// missing id) is `null`.
+/// strings, non-negative integer literals stay the same number,
+/// everything else (or a missing id) is `null`.
 fn render_id(obj: &BTreeMap<String, Value>) -> String {
     match obj.get("id") {
-        Some(Value::String(s)) => json_string(s),
+        Some(Value::String(s)) => json::string(s),
         Some(v) => v.as_u64().map_or_else(|| "null".into(), |n| n.to_string()),
         None => "null".into(),
     }
@@ -619,6 +602,37 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(id, "17");
+        // Seeds and ids are exact past 2^53, where an f64 would round.
+        let Request::Characterize(c) = parse_ok(
+            r#"{"req":"characterize","id":9007199254740993,"profile":"test_small",
+                "seed":9007199254740993}"#,
+        ) else {
+            panic!("wrong variant");
+        };
+        assert_eq!((c.id.as_str(), c.seed), ("9007199254740993", (1 << 53) + 1));
+        let Request::Stats { id } = parse_ok(r#"{"req":"stats","id":18446744073709551615}"#) else {
+            panic!("wrong variant");
+        };
+        assert_eq!(id, "18446744073709551615");
+    }
+
+    #[test]
+    fn integer_fields_refuse_floats_and_out_of_range_literals() {
+        // None of these may become u64::MAX, 1000 or 7.
+        for n in ["18446744073709551616", "1e3", "7.0"] {
+            let line =
+                format!(r#"{{"req":"characterize","id":"j","profile":"test_small","seed":{n}}}"#);
+            let e = parse_request(&line).expect_err(&line);
+            assert_eq!(e.id, "\"j\"", "{line}");
+            assert_eq!(
+                e.message, "\"seed\" must be a non-negative integer",
+                "{line}"
+            );
+            let Request::Stats { id } = parse_ok(&format!(r#"{{"req":"stats","id":{n}}}"#)) else {
+                panic!("wrong variant");
+            };
+            assert_eq!(id, "null", "id {n}");
+        }
     }
 
     #[test]
@@ -735,57 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn json_string_escapes_the_awkward_cases() {
-        assert_eq!(json_string("a\"b\\c\n"), r#""a\"b\\c\n""#);
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_string("héllo"), "\"héllo\"");
-    }
-
-    #[test]
-    fn del_and_non_bmp_round_trip_through_encode_and_decode() {
-        // DEL (0x7f) and astral-plane characters are legal unescaped
-        // in JSON strings; the encoder passes them raw and the decoder
-        // must return them unchanged.
-        let cases = [
-            "\u{7f}",
-            "del\u{7f}del",
-            "\u{1f600}",
-            "a\u{1f600}b",
-            "\u{10000}\u{10ffff}",
-            "mixed\t\u{7f}\u{1f4a9}\"quoted\"",
-        ];
-        for original in cases {
-            let encoded = json_string(original);
-            let decoded = dram_perf::json::parse("roundtrip", &encoded)
-                .unwrap_or_else(|e| panic!("{original:?} encoded as {encoded:?}: {e}"));
-            assert_eq!(decoded.as_str(), Some(original), "{encoded:?}");
-        }
-    }
-
-    #[test]
-    fn reference_surrogate_pair_escapes_decode_to_the_same_string() {
-        // Reference JSON encoders (serde_json, python's json, JS'
-        // JSON.stringify with default settings on non-BMP input) may
-        // emit astral characters as \uD8xx\uDCxx pairs. Whichever form
-        // a client sends, the daemon must read the same request string.
-        let pairs = [
-            ("\"\\ud83d\\ude00\"", "\u{1f600}"),
-            ("\"\\ud800\\udc00\"", "\u{10000}"),
-            ("\"\\udbff\\udfff\"", "\u{10ffff}"),
-            ("\"\\u007f\"", "\u{7f}"),
-        ];
-        for (escaped, expected) in pairs {
-            let decoded = dram_perf::json::parse("reference", escaped).expect(escaped);
-            assert_eq!(decoded.as_str(), Some(expected), "{escaped}");
-            // And the decoded string re-encodes to something that
-            // decodes back to itself (full round trip).
-            let re = json_string(expected);
-            let again = dram_perf::json::parse("reference", &re).expect("re-encode");
-            assert_eq!(again.as_str(), Some(expected));
-        }
-    }
-
-    #[test]
     fn characterize_ids_with_non_bmp_content_survive_the_wire() {
         // End to end at the request layer: a profile label with DEL
         // and an emoji comes back out of parse_request intact.
@@ -793,7 +756,7 @@ mod tests {
             "{\"req\":\"characterize\",\"id\":\"\\ud83d\\ude00\u{7f}\",\"profile\":\"test_small\"}";
         match parse_request(line).expect("request parses") {
             Request::Characterize(req) => {
-                assert_eq!(req.id, json_string("\u{1f600}\u{7f}"));
+                assert_eq!(req.id, json::string("\u{1f600}\u{7f}"));
             }
             other => panic!("expected characterize, got {other:?}"),
         }

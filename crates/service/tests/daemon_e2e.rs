@@ -4,29 +4,22 @@
 //! digests, and a unix-socket daemon must share that cache across
 //! connections.
 
+use dram_telemetry::json::{self, Value};
 use dramscope_service::profiles;
 use dramscope_service::{handle_connection, CacheStatus, JobSpec, Service};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{Arc, Mutex};
 
-fn field<'a>(line: &'a str, key: &str) -> &'a str {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag).unwrap_or_else(|| panic!("{key} in {line}")) + tag.len();
-    let rest = &line[start..];
-    let end = rest
-        .char_indices()
-        .scan(false, |in_str, (i, c)| {
-            match c {
-                '"' => *in_str = !*in_str,
-                ',' | '}' if !*in_str => return Some(Some(i)),
-                _ => {}
-            }
-            Some(None)
-        })
-        .flatten()
-        .next()
-        .expect("field end");
-    &rest[..end]
+/// One top-level field of a response line.
+fn field(line: &str, key: &str) -> Value {
+    json::parse("response", line)
+        .ok()
+        .and_then(|v| v.as_object()?.get(key).cloned())
+        .unwrap_or_else(|| panic!("{key} in {line}"))
+}
+
+fn text(s: &str) -> Value {
+    Value::String(s.to_string())
 }
 
 #[test]
@@ -42,16 +35,16 @@ fn stdin_pipe_same_job_twice_is_miss_then_hit_with_equal_digests() {
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 3, "{lines:?}");
 
-    assert_eq!(field(lines[0], "cache"), "\"miss\"");
-    assert_eq!(field(lines[1], "cache"), "\"hit\"");
+    assert_eq!(field(lines[0], "cache"), text("miss"));
+    assert_eq!(field(lines[1], "cache"), text("hit"));
     let d0 = field(lines[0], "dossier_digest");
     let d1 = field(lines[1], "dossier_digest");
     assert_eq!(d0, d1, "cache hit serves the identical dossier");
-    assert!(d0.starts_with("\"0x"), "{d0}");
+    assert!(d0.as_str().is_some_and(|d| d.starts_with("0x")), "{d0:?}");
 
     // One simulation for two responses, and the library agrees.
-    assert_eq!(field(lines[2], "executions"), "1");
-    assert_eq!(field(lines[2], "hits"), "1");
+    assert_eq!(field(lines[2], "executions"), Value::U64(1));
+    assert_eq!(field(lines[2], "hits"), Value::U64(1));
     let stats = service.stats();
     assert_eq!(stats.executions, 1);
     assert_eq!(stats.submitted, 2);
@@ -72,7 +65,7 @@ fn stdin_pipe_same_job_twice_is_miss_then_hit_with_equal_digests() {
         CacheStatus::Hit,
         "library spec hits the daemon's entry"
     );
-    assert_eq!(d0, format!("\"0x{:016x}\"", output.digest));
+    assert_eq!(d0, text(&format!("0x{:016x}", output.digest)));
     service.shutdown();
 }
 
@@ -101,8 +94,9 @@ fn progress_events_stream_before_the_result() {
     // Every progress marker is a phase/span label, never raw commands.
     for p in &progress {
         let marker = field(p, "marker");
+        let marker = marker.as_str().expect("string marker");
         assert!(
-            marker.starts_with("\"phase:") || marker.starts_with("\"span:"),
+            marker.starts_with("phase:") || marker.starts_with("span:"),
             "{marker}"
         );
     }
@@ -146,13 +140,13 @@ fn unix_socket_shares_the_cache_across_connections() {
         connect,
         "{\"req\":\"characterize\",\"id\":1,\"profile\":\"test_small\",\"seed\":11}",
     );
-    assert_eq!(field(&first, "cache"), "\"miss\"", "{first}");
+    assert_eq!(field(&first, "cache"), text("miss"), "{first}");
 
     let second = ask(
         UnixStream::connect(&path).unwrap(),
         "{\"req\":\"characterize\",\"id\":2,\"profile\":\"test_small\",\"seed\":11}",
     );
-    assert_eq!(field(&second, "cache"), "\"hit\"", "{second}");
+    assert_eq!(field(&second, "cache"), text("hit"), "{second}");
     assert_eq!(
         field(&first, "dossier_digest"),
         field(&second, "dossier_digest")

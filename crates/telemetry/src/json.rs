@@ -1,27 +1,46 @@
-//! A minimal, total JSON reader for snapshot files.
+//! The workspace's one JSON codec: a string writer and a total reader.
 //!
-//! The repo is offline and dependency-free, so baseline files are read
-//! with this ~200-line recursive-descent parser instead of serde. It
-//! accepts the JSON subset the snapshot writer emits (objects, arrays,
-//! strings with the common escapes, numbers, booleans, null) plus
-//! arbitrary whitespace, and — like `dram_trace`'s decoder — it never
-//! panics: every malformed input maps to a [`PerfError::Parse`] carrying
-//! the byte offset where reading stopped.
+//! Every JSON document the workspace writes (telemetry and perf
+//! snapshots, span trees, event-journal lines, fleet report lines,
+//! trace-lake query reports, the daemon's wire protocol and its
+//! persisted cache entries) quotes every string it takes from data with
+//! [`string`], and every JSON document it reads goes through [`parse`].
+//!
+//! The workspace is offline and dependency-free, so the reader is a
+//! small recursive-descent parser instead of serde. It accepts objects,
+//! arrays, strings with the common escapes (including UTF-16 surrogate
+//! pairs), numbers, booleans, null and arbitrary whitespace, and, like
+//! `dram_trace`'s decoder, it is **total**: every malformed input maps
+//! to a [`ParseError`] carrying the byte offset where reading stopped,
+//! and nesting is capped so hostile input cannot exhaust the stack.
+//!
+//! Numbers keep the kind of literal they came from. An integer literal
+//! (digits with an optional `-`, no fraction, no exponent) is held
+//! exactly: a non-negative one as [`Value::U64`], a negative one as
+//! [`Value::I64`], and `-0` as `U64(0)`. Every other number (a
+//! fraction, an exponent, or an integer literal outside both 64-bit
+//! ranges) is a [`Value::F64`], so a valid document always parses.
+//! Seeds, ids and sequence numbers therefore round-trip across all 64
+//! bits, and a field that wants an integer can tell `7` from `7.0`.
 
-use crate::error::PerfError;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object keys are held in a `BTreeMap`, so
-/// re-rendering a value is deterministic regardless of file key order.
+/// re-rendering a value is deterministic regardless of input key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (integers above 2^53 lose precision; snapshot
-    /// timings are well below that).
-    Number(f64),
+    /// A non-negative integer literal, exact.
+    U64(u64),
+    /// A negative integer literal, exact (non-negative ones are `U64`).
+    I64(i64),
+    /// Any other number: a fraction, an exponent, or an integer literal
+    /// outside both 64-bit ranges.
+    F64(f64),
     /// A string, unescaped.
     String(String),
     /// An array.
@@ -47,37 +66,85 @@ impl Value {
         }
     }
 
-    /// The value as a float, if it is a number.
+    /// The value as a float, if it is a number of any kind.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
+        match *self {
+            Value::U64(n) => Some(n as f64),
+            Value::I64(n) => Some(n as f64),
+            Value::F64(n) => Some(n),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer, if it is a number that
-    /// round-trips (no fraction, no sign, within `u64`).
+    /// The value as a non-negative integer, if it was written as one.
+    /// Never a converted float: `1e3` and `7.0` are `None`.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
-            Some(n as u64)
-        } else {
-            None
+        match *self {
+            Value::U64(n) => Some(n),
+            _ => None,
         }
     }
 }
 
+/// Where and why [`parse`] stopped reading.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// The caller's label for the input (a file name, `"request"`).
+    pub label: String,
+    /// Byte offset at which parsing stopped.
+    pub offset: usize,
+    /// What was wrong.
+    pub what: &'static str,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: invalid JSON at byte {}: {}",
+            self.label, self.offset, self.what
+        )
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Renders `s` as a JSON string literal, quotes included.
+///
+/// `"`, `\` and the control characters below U+0020 are escaped
+/// (`\n`, `\r` and `\t` by name, the rest as `\u00xx`); everything
+/// else, DEL and non-BMP characters included, passes through raw.
+pub fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Parses one JSON document; trailing garbage is an error.
 ///
-/// `path` is only used to label errors.
+/// `label` only names the input in errors.
 ///
 /// # Errors
 ///
-/// Returns [`PerfError::Parse`] with the byte offset of the first
+/// Returns a [`ParseError`] with the byte offset of the first
 /// malformed construct.
-pub fn parse(path: &str, input: &str) -> Result<Value, PerfError> {
+pub fn parse(label: &str, input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        path,
+        label,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -91,21 +158,21 @@ pub fn parse(path: &str, input: &str) -> Result<Value, PerfError> {
     Ok(value)
 }
 
-/// Nesting ceiling; snapshot files are 3 levels deep, hostile input
-/// must not blow the stack.
+/// Nesting ceiling; the workspace's documents are a few levels deep,
+/// and hostile input must not blow the stack.
 const MAX_DEPTH: u32 = 64;
 
 struct Parser<'a> {
-    path: &'a str,
+    label: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: u32,
 }
 
 impl Parser<'_> {
-    fn err(&self, what: &'static str) -> PerfError {
-        PerfError::Parse {
-            path: self.path.to_string(),
+    fn err(&self, what: &'static str) -> ParseError {
+        ParseError {
+            label: self.label.to_string(),
             offset: self.pos,
             what,
         }
@@ -121,7 +188,13 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), PerfError> {
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -130,7 +203,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, PerfError> {
+    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, ParseError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
@@ -139,7 +212,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, PerfError> {
+    fn value(&mut self) -> Result<Value, ParseError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -156,7 +229,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, PerfError> {
+    fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{', "expected '{'")?;
         self.depth += 1;
         let mut map = BTreeMap::new();
@@ -187,7 +260,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, PerfError> {
+    fn array(&mut self) -> Result<Value, ParseError> {
         self.expect(b'[', "expected '['")?;
         self.depth += 1;
         let mut items = Vec::new();
@@ -215,7 +288,7 @@ impl Parser<'_> {
 
     /// Reads the four hex digits of a `\uXXXX` escape with `self.pos`
     /// on the `u`, without consuming them.
-    fn u16_escape(&mut self) -> Result<u32, PerfError> {
+    fn u16_escape(&mut self) -> Result<u32, ParseError> {
         let hex = self
             .bytes
             .get(self.pos + 1..self.pos + 5)
@@ -224,7 +297,7 @@ impl Parser<'_> {
         u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))
     }
 
-    fn string(&mut self) -> Result<String, PerfError> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
@@ -297,33 +370,39 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, PerfError> {
+    fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        self.skip_digits();
+        let mut integer = true;
         if self.peek() == Some(b'.') {
+            integer = false;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            integer = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        if integer {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Value::U64(n));
+            }
+            // Only negative literals reach here in range; `-0` is zero.
+            if let Ok(n) = text.parse::<i64>() {
+                return Ok(if n == 0 { Value::U64(0) } else { Value::I64(n) });
+            }
+        }
         text.parse::<f64>()
-            .map(Value::Number)
+            .map(Value::F64)
             .map_err(|_| self.err("malformed number"))
     }
 }
@@ -358,15 +437,34 @@ mod tests {
     }
 
     #[test]
-    fn numbers_cover_integers_floats_exponents_and_signs() {
-        assert_eq!(ok("0").as_u64(), Some(0));
-        assert_eq!(ok("18446744073709551615").as_f64(), Some(u64::MAX as f64));
-        assert_eq!(ok("-3.25").as_f64(), Some(-3.25));
+    fn integer_literals_are_exact_and_other_numbers_are_floats() {
+        let cases = [
+            ("0", Value::U64(0)),
+            ("-0", Value::U64(0)),
+            ("-1", Value::I64(-1)),
+            ("9007199254740993", Value::U64((1 << 53) + 1)),
+            ("18446744073709551615", Value::U64(u64::MAX)),
+            ("-9223372036854775808", Value::I64(i64::MIN)),
+            ("1e3", Value::F64(1000.0)),
+            ("7.0", Value::F64(7.0)),
+            ("-3.25", Value::F64(-3.25)),
+            ("2.5E-1", Value::F64(0.25)),
+            // Integer literals outside both 64-bit ranges still parse.
+            ("18446744073709551616", Value::F64(2f64.powi(64))),
+            ("-9223372036854775809", Value::F64(-(2f64.powi(63)))),
+        ];
+        for (input, want) in cases {
+            assert_eq!(ok(input), want, "{input}");
+        }
+        // as_u64 reads exact non-negative integers only; as_f64 any number.
+        assert_eq!(ok("9007199254740993").as_u64(), Some((1 << 53) + 1));
+        assert_eq!(ok("18446744073709551615").as_u64(), Some(u64::MAX));
+        for input in ["-1", "1e3", "7.0", "18446744073709551616", "1.5"] {
+            assert_eq!(ok(input).as_u64(), None, "{input}");
+        }
+        assert_eq!(ok("-1").as_f64(), Some(-1.0));
         assert_eq!(ok("1e3").as_f64(), Some(1000.0));
-        assert_eq!(ok("2.5E-1").as_f64(), Some(0.25));
-        // Negative / fractional numbers are not u64s.
-        assert_eq!(ok("-1").as_u64(), None);
-        assert_eq!(ok("1.5").as_u64(), None);
+        assert_eq!(ok("\"7\"").as_f64(), None);
     }
 
     #[test]
@@ -421,6 +519,11 @@ mod tests {
             assert!(text.contains(needle), "{input:?} gave {text:?}");
             assert!(text.contains("at byte"), "{text:?} names an offset");
         }
+        // Daemon error responses embed this text verbatim.
+        assert_eq!(
+            parse("request", "{\"a\" 1}").unwrap_err().to_string(),
+            "request: invalid JSON at byte 5: expected ':'"
+        );
     }
 
     #[test]
@@ -434,5 +537,58 @@ mod tests {
     fn duplicate_keys_last_write_wins() {
         let v = ok(r#"{"a":1,"a":2}"#);
         assert_eq!(v.as_object().unwrap()["a"].as_u64(), Some(2));
+    }
+
+    #[test]
+    fn string_escapes_the_awkward_cases() {
+        assert_eq!(string("a\"b\\c\n"), r#""a\"b\\c\n""#);
+        assert_eq!(string("\r\t"), r#""\r\t""#);
+        assert_eq!(string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(string("\u{1f}"), "\"\\u001f\"");
+        assert_eq!(string("héllo"), "\"héllo\"");
+        assert_eq!(string(""), "\"\"");
+    }
+
+    #[test]
+    fn del_and_non_bmp_round_trip_through_encode_and_decode() {
+        // DEL (0x7f) and astral-plane characters are legal unescaped
+        // in JSON strings; the encoder passes them raw and the decoder
+        // must return them unchanged.
+        let cases = [
+            "\u{7f}",
+            "del\u{7f}del",
+            "\u{1f600}",
+            "a\u{1f600}b",
+            "\u{10000}\u{10ffff}",
+            "mixed\t\u{7f}\u{1f4a9}\"quoted\"",
+        ];
+        for original in cases {
+            let encoded = string(original);
+            let decoded = parse("roundtrip", &encoded)
+                .unwrap_or_else(|e| panic!("{original:?} encoded as {encoded:?}: {e}"));
+            assert_eq!(decoded.as_str(), Some(original), "{encoded:?}");
+        }
+    }
+
+    #[test]
+    fn reference_surrogate_pair_escapes_decode_to_the_same_string() {
+        // Reference JSON encoders (serde_json, python's json, JS'
+        // JSON.stringify with default settings on non-BMP input) may
+        // emit astral characters as \uD8xx\uDCxx pairs. Whichever form
+        // a client sends, the reader must return the same string.
+        let pairs = [
+            ("\"\\ud83d\\ude00\"", "\u{1f600}"),
+            ("\"\\ud800\\udc00\"", "\u{10000}"),
+            ("\"\\udbff\\udfff\"", "\u{10ffff}"),
+            ("\"\\u007f\"", "\u{7f}"),
+        ];
+        for (escaped, expected) in pairs {
+            let decoded = parse("reference", escaped).expect(escaped);
+            assert_eq!(decoded.as_str(), Some(expected), "{escaped}");
+            // And the decoded string re-encodes to something that
+            // decodes back to itself (full round trip).
+            let again = parse("reference", &string(expected)).expect("re-encode");
+            assert_eq!(again.as_str(), Some(expected));
+        }
     }
 }

@@ -27,6 +27,10 @@
 //! post-processing (`dram_trace::trace_metrics`) lives with the trace
 //! codec; this crate is the shared vocabulary underneath both.
 //!
+//! It also holds the workspace's one JSON codec ([`json`]): the string
+//! writer every snapshot, journal line and wire response quotes with,
+//! and the total reader that keeps integer literals exact.
+//!
 //! # Example
 //!
 //! ```
@@ -46,6 +50,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod histogram;
+pub mod json;
 pub mod registry;
 pub mod span;
 

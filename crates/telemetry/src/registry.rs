@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::histogram::Histogram;
+use crate::json;
 use crate::{SCHEMA, SCHEMA_VERSION};
 
 /// A metric identity: a name plus zero or more `(label, value)` pairs.
@@ -207,14 +208,14 @@ impl Registry {
         for (key, value) in &self.counters {
             out.push_str(&format!(
                 "{{\"type\":\"counter\",\"name\":{},\"labels\":{},\"value\":{value}}}\n",
-                json_string(&key.name),
+                json::string(&key.name),
                 json_labels(&key.labels)
             ));
         }
         for (key, value) in &self.gauges {
             out.push_str(&format!(
                 "{{\"type\":\"gauge\",\"name\":{},\"labels\":{},\"value\":{value}}}\n",
-                json_string(&key.name),
+                json::string(&key.name),
                 json_labels(&key.labels)
             ));
         }
@@ -231,7 +232,7 @@ impl Registry {
                 "{{\"type\":\"histogram\",\"name\":{},\"labels\":{},\
                  \"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
                  \"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":{buckets}}}\n",
-                json_string(&key.name),
+                json::string(&key.name),
                 json_labels(&key.labels),
                 hist.count(),
                 hist.sum(),
@@ -246,34 +247,15 @@ impl Registry {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_labels(labels: &[(String, String)]) -> String {
     let mut out = String::from("{");
     for (i, (k, v)) in labels.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_string(k));
+        out.push_str(&json::string(k));
         out.push(':');
-        out.push_str(&json_string(v));
+        out.push_str(&json::string(v));
     }
     out.push('}');
     out
@@ -356,11 +338,5 @@ mod tests {
         r.inc(Key::name("other"), 99);
         assert_eq!(r.sum_counters("cmds"), 5);
         assert_eq!(r.sum_counters("absent"), 0);
-    }
-
-    #[test]
-    fn json_escaping_handles_quotes_and_controls() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

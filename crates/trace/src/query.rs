@@ -15,6 +15,7 @@ use crate::error::TraceError;
 use crate::event::TraceEvent;
 use crate::index::{event_bank, event_op_index, SegmentMeta, SEGMENT_MNEMONICS};
 use crate::lake::IndexedTrace;
+use dram_telemetry::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{File, Metadata};
@@ -192,9 +193,9 @@ impl QueryReport {
             let _ = write!(
                 out,
                 "{{\"file\":{},\"segment\":{},\"label\":{},\"events\":{},\"matched\":{}",
-                json_string(&hit.file),
+                json::string(&hit.file),
                 hit.segment,
-                json_string(&hit.label),
+                json::string(&hit.label),
                 hit.events,
                 hit.matched
             );
@@ -219,27 +220,6 @@ impl QueryReport {
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Runs a query over one already-opened trace, labeling hits with
