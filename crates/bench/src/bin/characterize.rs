@@ -1,188 +1,86 @@
 //! Full black-box characterization: prints the dossier the toolkit
-//! assembles from RowCopy, retention, AIB, power, TRR, and ECC probing.
-//! Run with `--release`:
+//! assembles from RowCopy, retention, AIB, power, TRR, and ECC probing,
+//! plus the fleet, sharded, trace, bench, daemon, and journal commands
+//! around it (`characterize --help` lists them). Every command declares
+//! its operands and flags once, in a [`Command`] table below, and reads
+//! them through the `dramscope_service::cli` grammar: usage errors exit
+//! 2, runtime failures 1.
 //!
-//! ```text
-//! cargo run --release -p dramscope-bench --bin characterize [profile]
-//! cargo run --release -p dramscope-bench --bin characterize fleet [--serial] [--sharded] [--workers N]
-//! cargo run --release -p dramscope-bench --bin characterize sharded [profile] [--shards N] [--serial] [--seed N]
-//! cargo run --release -p dramscope-bench --bin characterize record <profile> [--seed N] [--out FILE] [--v1] [--sharded [--shards N]]
-//! cargo run --release -p dramscope-bench --bin characterize replay <FILE> [--bench N]
-//! cargo run --release -p dramscope-bench --bin characterize diff <A> <B> [--segment SPEC] [--bank N]
-//! cargo run --release -p dramscope-bench --bin characterize dump <FILE> [--segment SPEC] [--bank N]
-//! cargo run --release -p dramscope-bench --bin characterize stats <FILE> [--json|--csv] [--segment SPEC] [--bank N]
-//! cargo run --release -p dramscope-bench --bin characterize index <FILE> [--out FILE]
-//! cargo run --release -p dramscope-bench --bin characterize query <FILE|DIR> [--bank LIST] \
-//!     [--cmd LIST] [--marker PREFIX] [--from-ps N] [--to-ps N] \
-//!     [--min-count N] [--max-count N] [--json|--csv]
-//! cargo run --release -p dramscope-bench --bin characterize bench [--save FILE] \
-//!     [--baseline FILE] [--gate PCT] [--warmup N] [--iters N] [--only a,b] \
-//!     [--profile] [--flame FILE] [--profile-json FILE]
-//! cargo run --release -p dramscope-bench --bin characterize serve [--workers N] [--socket PATH] [--journal FILE] [--trace-dir PATH] [--cache-dir PATH] [--cache-max-entries N] [--cache-max-bytes N] [--serial]
-//! cargo run --release -p dramscope-bench --bin characterize events <journal> [--sev LEVEL] \
-//!     [--job ID] [--kind PREFIX] [--since-seq N] [--until-seq N] [--tail N] [--stable] [--quiet]
-//! ```
-//!
-//! Exit codes are uniform across subcommands: usage errors (bad flags,
-//! unknown names, missing operands) exit 2, runtime failures exit 1.
-//!
-//! `serve` runs the `dramscoped` characterization daemon in-process:
-//! JSON-lines requests over stdin/stdout (or a unix socket), in-flight
-//! dedup, and the content-addressed dossier cache — see the
-//! `dramscope-service` crate.
-//!
-//! Every run/record/replay/fleet invocation also accepts the telemetry
-//! flags `--metrics FILE` (write the JSON-lines metrics snapshot of the
-//! run to `FILE`) and `--quiet` (suppress the dossier body, run report,
-//! and telemetry footer, leaving only the one-line confirmations).
-//!
-//! The long-running modes (profile runs, `fleet`, `sharded`, `serve`)
-//! additionally accept `--journal FILE`: job lifecycle events
-//! (`job.queued` / `job.started` / `job.finished` / `job.panicked`),
-//! simulator clock anomalies, and — under `serve` — the daemon's
-//! connection, request, and cache events append to a rotating JSON-lines
-//! journal (`dram-obs`). The `events` subcommand reads such a journal
-//! back: it prints matching event lines (filtered by `--sev`, `--job`,
-//! `--kind` prefix, or a `--since-seq`/`--until-seq` sequence window,
-//! trimmed to the last `--tail N`; `--stable` renders without wall-clock
-//! keys, `--quiet` keeps only the summary), salvages around corrupt
-//! lines, and reconstructs the per-job lifecycle — every job's queued /
-//! started / finished / panicked counts, and whether they match.
-//! `stats` derives the same metrics from a trace file alone — no
-//! re-simulation — and renders them as a table (`--csv` for CSV,
-//! `--json` for the raw snapshot that `--metrics` writes).
-//!
-//! `profile` is a preset name like `mfr_a_x4_2016` (default),
-//! `mfr_b_x4_2019`, `mfr_c_x8_2016`, or `hbm2`. The special name
-//! `fleet` characterizes the whole Table I population in parallel and
-//! prints the per-device summary table followed by the JSON-lines run
-//! report; `--serial` runs the same jobs one at a time on one worker
-//! (the determinism / speedup baseline), `--workers N` pins the worker
-//! count, and `--sharded` switches to the two-level scheduler: every
-//! `(profile, bank)` pair becomes one task on the shared pool (one
-//! worker under `--serial`).
-//!
-//! `sharded` characterizes every bank of ONE device concurrently, one
-//! shard per bank, and prints the per-bank table, the run summary, and
-//! the merged sharded-dossier digest. `--shards N` pins the worker
-//! count (0 = machine parallelism, capped at the bank count) and
-//! `--serial` runs the byte-identical one-bank-at-a-time reference —
-//! the digest printed by both must match for any shard count.
-//!
-//! The trace subcommands drive the golden-trace subsystem (`dram-trace`):
-//! `record` characterizes while capturing every command of the primary
-//! testbed into a binary trace (`--sharded` records the bank-sharded
-//! flow instead — one segment per bank, concatenated in bank order);
-//! `replay` re-runs the characterization
-//! from the trace alone (sharded traces are detected by their
-//! `shard_banks` meta and replayed bank by bank), verifying the command
-//! stream and the dossier
-//! digest reproduce bit-for-bit (with `--bench N` it additionally replays
-//! the raw command stream `N` times on bare chips and reports
-//! commands/second); `diff` compares two traces structurally; `dump`
-//! renders a trace as text. The small CI profiles `test_small`,
-//! `test_small_interleaved`, and `test_small_coupled` are accepted by
-//! `record` alongside the Table I presets.
-//!
-//! `record` writes the v2 indexed container by default: the v1 byte
-//! stream unchanged, plus a segment index footer keyed by the
-//! `phase:`/`span:`/`shard:bank=` markers (pass `--v1` for the bare v1
-//! stream). `index <FILE>` upgrades an existing trace to
-//! `<name>.v2.trace` and prints its segment table. Every trace-reading
-//! subcommand accepts either version. `stats`, `dump`, and `diff` take
-//! `--segment SPEC` (a segment number, or a label prefix like
-//! `phase:hammer`) and `--bank N` to restrict themselves to matching
-//! segments — on an indexed trace only those segments are decoded; on a
-//! v1 trace the same segments are synthesized in memory from the marker
-//! stream, so the output is identical, just without the seek savings.
-//! `query` evaluates a predicate (time range in picoseconds, bank list,
-//! command mnemonics, marker prefix, min/max matched count) over one
-//! trace or every `*.trace` in a directory, pruning non-matching
-//! segments by their index metadata before decoding; it exits 1 when
-//! nothing matches, so shell scripts can branch on it.
-//!
-//! `bench` runs the named performance suites
-//! (`dramscope_bench::perf_suites`) through the `dram-perf` harness:
-//! `--save FILE` writes a `BENCH_*.json` snapshot, `--baseline FILE`
-//! gates the run against a previous snapshot (`--gate PCT` sets the
-//! allowed median growth, default 20; the process exits 1 on
-//! regression), `--warmup`/`--iters` size the run, `--only a,b` selects
-//! suites by name, and `--profile` (`--flame FILE` / `--profile-json
-//! FILE` for collapsed-stack and JSON output) additionally profiles one
-//! small characterization into a hierarchical wall-clock span tree.
+//! Every trace-reading command accepts both the v1 stream and the v2
+//! indexed container that `record` writes by default; `--segment` and
+//! `--bank` decode only the matching segments of an indexed trace, and
+//! synthesize the same segments from a v1 trace's markers, so the output
+//! is identical either way.
 
-use dram_obs::{
-    scan_journal, AnomalySink, Event, EventBus, EventDraft, JournalConfig, JournalWriter, Severity,
-};
+use dram_obs::{scan_journal, AnomalySink, Event, EventDraft, Severity};
 use dram_sim::ChipProfile;
-use dram_telemetry::Registry;
+use dram_telemetry::{Key, Registry};
 use dram_trace::{
     decode_container, diff_traces, trace_metrics, IndexedTrace, Query, Trace, SEGMENT_MNEMONICS,
 };
-use dramscope_core::dossier::{characterize_instrumented, CharacterizeOptions};
+use dramscope_bench::experiments;
+use dramscope_core::dossier::{
+    characterize_instrumented, CharacterizeOptions, PhaseStat, RunStats,
+};
 use dramscope_core::fleet::{self, FleetConfig};
 use dramscope_core::report::Table;
 use dramscope_core::shard::{self, ShardConfig};
 use dramscope_core::trace_run;
-use dramscope_service::profiles;
-use std::fmt;
+use dramscope_service::cli::{self, usage, Args, Command, Flag, Journal};
+use dramscope_service::{profiles, ServeConfig};
+use std::error::Error;
+use std::path::Path;
+use std::process::ExitCode;
 
-/// A command-line usage error: bad flags, unknown names, missing
-/// operands. `main` maps these to exit code 2, runtime failures to 1 —
-/// the same convention in every subcommand.
-#[derive(Debug)]
-struct UsageError(String);
+const METRICS: Flag = Flag::text("--metrics", "FILE", "write the metrics snapshot to FILE");
+const QUIET: Flag = Flag::switch("--quiet", "print only the one-line confirmations");
+const SEED: Flag = Flag::parsed::<u64>("--seed", "N", "chip seed (default 379422)");
+const SHARDS: Flag =
+    Flag::parsed::<usize>("--shards", "N", "shard workers (0 = machine parallelism)");
+const SEGMENT: Flag = Flag::text("--segment", "SPEC", "keep segment SPEC (number or prefix)");
+const BANK: Flag = Flag::parsed::<u32>("--bank", "N", "only events addressing bank N");
 
-impl fmt::Display for UsageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+const CHARACTERIZE: Command = Command {
+    name: "characterize",
+    about: "Characterizes one Table I device black-box.\n\
+            PROFILE defaults to mfr_a_x4_2016; prints the dossier and the per-phase\n\
+            run report.",
+    operands: &["[PROFILE]"],
+    needs: "",
+    flags: &[METRICS, QUIET, cli::JOURNAL],
+    subcommands: &[
+        &FLEET, &SHARDED, &RECORD, &REPLAY, &DIFF, &DUMP, &STATS, &INDEX, &QUERY, &BENCH, &SERVE,
+        &EVENTS,
+    ],
+    run: run_profile,
+};
+
+fn main() -> ExitCode {
+    cli::main(&CHARACTERIZE)
+}
+
+/// Resolves a name `profiles::named_job` knows, or a usage error that
+/// lists them.
+fn named_job(name: &str) -> Result<(ChipProfile, CharacterizeOptions), Box<dyn Error>> {
+    let Some(job) = profiles::named_job(name) else {
+        let known = profiles::known_names().join(", ");
+        return usage(format!("unknown profile '{name}' (try one of: {known})"));
+    };
+    Ok(job)
+}
+
+/// Writes a command's whole output to stdout. Listings get piped into
+/// `head` or `grep`, so a closed stdout is normal termination, not an
+/// error.
+fn print_piped(text: &str) -> Result<(), Box<dyn Error>> {
+    use std::io::Write;
+    match std::io::stdout().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.into()),
+        _ => Ok(()),
     }
 }
 
-impl std::error::Error for UsageError {}
-
-fn usage<T>(message: impl Into<String>) -> Result<T, Box<dyn std::error::Error>> {
-    Err(Box::new(UsageError(message.into())))
-}
-
-/// Small-profile options for the profiled bench run, via the shared
-/// name table so CLI and daemon agree on the canonical values.
-fn small_opts(scan_rows: u32) -> CharacterizeOptions {
-    let (_, mut opts) = profiles::named_job("test_small").expect("test_small is a known profile");
-    opts.scan_rows = scan_rows;
-    opts
-}
-
-/// The unknown-profile usage message.
-fn unknown_profile(name: &str) -> Box<dyn std::error::Error> {
-    Box::new(UsageError(format!(
-        "unknown profile '{name}' (try one of: {})",
-        profiles::known_names().join(", ")
-    )))
-}
-
-fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-) -> Result<Option<T>, Box<dyn std::error::Error>>
-where
-    T::Err: std::error::Error + 'static,
-{
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => {
-            let Some(raw) = args.get(i + 1) else {
-                return usage(format!("{flag} needs a value"));
-            };
-            match raw.parse::<T>() {
-                Ok(v) => Ok(Some(v)),
-                Err(e) => usage(format!("invalid {flag} value '{raw}': {e}")),
-            }
-        }
-    }
-}
-
-fn load_trace(path: &str) -> Result<Trace, Box<dyn std::error::Error>> {
+fn load_trace(path: &str) -> Result<Trace, Box<dyn Error>> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     decode_container(&bytes).map_err(|e| format!("{path}: {e}").into())
 }
@@ -197,11 +95,11 @@ struct SegmentFilter {
 }
 
 impl SegmentFilter {
-    fn from_args(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(SegmentFilter {
-            segment: parse_flag::<String>(args, "--segment")?,
-            bank: parse_flag::<u32>(args, "--bank")?,
-        })
+    fn from_args(args: &Args) -> Self {
+        SegmentFilter {
+            segment: args.text("--segment").map(String::from),
+            bank: args.value("--bank"),
+        }
     }
 
     fn is_active(&self) -> bool {
@@ -228,19 +126,14 @@ impl SegmentFilter {
 
 /// Opens a trace container-aware and applies the segment filters,
 /// returning the filtered trace plus `(decoded, total)` segment counts.
-/// With no filters active this is exactly `load_trace` (every event,
-/// decoded via the index when one is present).
+/// With no filters active every segment is decoded: the whole trace.
 fn load_filtered_trace(
     path: &str,
     filter: &SegmentFilter,
-) -> Result<(Trace, usize, usize), Box<dyn std::error::Error>> {
+) -> Result<(Trace, usize, usize), Box<dyn Error>> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let indexed = IndexedTrace::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let total = indexed.segments().len();
-    if !filter.is_active() {
-        let trace = indexed.decode_all().map_err(|e| format!("{path}: {e}"))?;
-        return Ok((trace, total, total));
-    }
     let mut events = Vec::new();
     let mut decoded = 0usize;
     for i in 0..total {
@@ -260,75 +153,16 @@ fn load_filtered_trace(
     Ok((trace, decoded, total))
 }
 
-/// Telemetry flags accepted by every mode that produces a metrics
-/// registry: `--metrics FILE` writes the JSON-lines snapshot, `--quiet`
-/// suppresses the human-readable output (dossier, run report, footer).
-struct Telemetry {
-    quiet: bool,
-    metrics_path: Option<String>,
-}
-
-impl Telemetry {
-    fn from_args(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(Telemetry {
-            quiet: args.iter().any(|a| a == "--quiet"),
-            metrics_path: parse_flag::<String>(args, "--metrics")?,
-        })
+/// Writes the `--metrics FILE` snapshot and, unless `--quiet`, the footer.
+fn emit(args: &Args, reg: &Registry) -> Result<(), Box<dyn Error>> {
+    if let Some(path) = args.text("--metrics") {
+        std::fs::write(path, reg.to_json_lines())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-
-    /// Writes the snapshot (if requested) and prints the footer (unless
-    /// quiet).
-    fn emit(&self, reg: &Registry) -> Result<(), Box<dyn std::error::Error>> {
-        if let Some(path) = &self.metrics_path {
-            std::fs::write(path, reg.to_json_lines())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
-        if !self.quiet {
-            println!("{}", telemetry_footer(reg));
-        }
-        Ok(())
+    if !args.has("--quiet") {
+        println!("{}", telemetry_footer(reg));
     }
-}
-
-/// The `--journal FILE` flag accepted by the long-running modes: an
-/// event bus mirroring every emission to a rotating on-disk JSON-lines
-/// journal, readable afterwards with `characterize events FILE`.
-struct Journal {
-    bus: Option<EventBus>,
-}
-
-impl Journal {
-    fn from_args(args: &[String]) -> Result<Self, Box<dyn std::error::Error>> {
-        let bus = match parse_flag::<String>(args, "--journal")? {
-            None => None,
-            Some(path) => {
-                let writer = JournalWriter::open(path.as_str(), JournalConfig::default())
-                    .map_err(|e| format!("cannot open journal: {e}"))?;
-                Some(EventBus::with_journal(
-                    dram_obs::DEFAULT_RING_CAPACITY,
-                    writer,
-                ))
-            }
-        };
-        Ok(Journal { bus })
-    }
-
-    fn bus(&self) -> Option<&EventBus> {
-        self.bus.as_ref()
-    }
-
-    /// Flushes the journal and surfaces absorbed write failures once, at
-    /// the end of the run (the hot path never fails on journal errors).
-    fn finish(&self) -> Result<(), Box<dyn std::error::Error>> {
-        let Some(bus) = &self.bus else {
-            return Ok(());
-        };
-        bus.flush().map_err(|e| e.to_string())?;
-        match bus.journal_errors() {
-            0 => Ok(()),
-            n => Err(format!("journal dropped {n} event line(s)").into()),
-        }
-    }
+    Ok(())
 }
 
 /// One-line human summary of a run's metrics registry.
@@ -347,31 +181,22 @@ fn telemetry_footer(reg: &Registry) -> String {
 
 /// Renders a metrics registry as a [`Table`] (the `stats` subcommand).
 fn metrics_table(reg: &Registry) -> Table {
-    let labels = |labels: &[(String, String)]| {
-        labels
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
     let mut t = Table::new(vec!["metric", "labels", "type", "value", "detail"]);
-    for (k, v) in reg.counters() {
+    let mut row = |k: &Key, kind: &str, value: String, detail: String| {
+        let labels: Vec<String> = k.labels().iter().map(|(k, v)| format!("{k}={v}")).collect();
         t.row(vec![
             k.metric().into(),
-            labels(k.labels()),
-            "counter".into(),
-            v.to_string(),
-            String::new(),
+            labels.join(","),
+            kind.into(),
+            value,
+            detail,
         ]);
+    };
+    for (k, v) in reg.counters() {
+        row(k, "counter", v.to_string(), String::new());
     }
     for (k, v) in reg.gauges() {
-        t.row(vec![
-            k.metric().into(),
-            labels(k.labels()),
-            "gauge".into(),
-            v.to_string(),
-            String::new(),
-        ]);
+        row(k, "gauge", v.to_string(), String::new());
     }
     for (k, h) in reg.histograms() {
         let detail = match (h.min(), h.max(), h.mean()) {
@@ -380,27 +205,34 @@ fn metrics_table(reg: &Registry) -> Table {
             }
             _ => "empty".into(),
         };
-        t.row(vec![
-            k.metric().into(),
-            labels(k.labels()),
-            "histogram".into(),
-            h.count().to_string(),
-            detail,
-        ]);
+        row(k, "histogram", h.count().to_string(), detail);
     }
     t
 }
 
-fn run_stats_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return usage("stats needs a trace file");
-    };
-    let filter = SegmentFilter::from_args(args)?;
+const STATS: Command = Command {
+    name: "characterize stats",
+    about: "Derives a trace's metrics offline, with no re-simulation.",
+    operands: &["<FILE>"],
+    needs: "a trace file",
+    flags: &[
+        SEGMENT,
+        BANK,
+        Flag::switch("--json", "print the raw metrics snapshot"),
+        Flag::switch("--csv", "print the table as CSV"),
+    ],
+    subcommands: &[],
+    run: run_stats_mode,
+};
+
+fn run_stats_mode(args: &Args) -> Result<(), Box<dyn Error>> {
+    let path = args.operand(0).unwrap_or_default();
+    let filter = SegmentFilter::from_args(args);
     let (trace, decoded, total) = load_filtered_trace(path, &filter)?;
     let reg = trace_metrics(&trace);
-    let out = if args.iter().any(|a| a == "--json") {
+    let out = if args.has("--json") {
         reg.to_json_lines()
-    } else if args.iter().any(|a| a == "--csv") {
+    } else if args.has("--csv") {
         metrics_table(&reg).to_csv()
     } else {
         let scope = if filter.is_active() {
@@ -417,45 +249,56 @@ fn run_stats_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             telemetry_footer(&reg)
         )
     };
-    // Stats output gets piped into `head`/`grep`; a closed stdout is
-    // normal termination, not an error.
-    use std::io::Write;
-    match std::io::stdout().write_all(out.as_bytes()) {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.into()),
-        _ => Ok(()),
-    }
+    print_piped(&out)
 }
 
-fn print_run_report(stats: &dramscope_core::dossier::RunStats) {
+fn print_run_report(stats: &RunStats) {
     println!("\nRun report:");
-    for p in &stats.phases {
-        println!(
-            "  {:<10} {:>10.1} ms {:>12} cmds {:>8} flips",
-            p.name, p.wall_ms, p.commands, p.bitflips
-        );
+    let total = PhaseStat {
+        name: "total",
+        wall_ms: stats.wall_ms(),
+        commands: stats.commands(),
+        bitflips: stats.bitflips(),
+    };
+    for p in stats.phases.iter().chain([&total]) {
+        let (name, ms, cmds, flips) = (p.name, p.wall_ms, p.commands, p.bitflips);
+        println!("  {name:<10} {ms:>10.1} ms {cmds:>12} cmds {flips:>8} flips");
     }
-    println!(
-        "  {:<10} {:>10.1} ms {:>12} cmds {:>8} flips",
-        "total",
-        stats.wall_ms(),
-        stats.commands(),
-        stats.bitflips()
-    );
 }
 
-fn run_fleet_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let workers = parse_flag::<usize>(args, "--workers")?.unwrap_or(0);
+const FLEET: Command = Command {
+    name: "characterize fleet",
+    about: "Characterizes the Table I population in parallel.\n\
+            Prints the per-device table, then the JSON-lines run report.",
+    operands: &[],
+    needs: "",
+    flags: &[
+        Flag::parsed::<usize>("--workers", "N", "worker threads (0 = all cores)"),
+        Flag::switch("--serial", "one worker: the determinism baseline"),
+        Flag::switch("--sharded", "one task per (profile, bank) pair"),
+        METRICS,
+        QUIET,
+        cli::JOURNAL,
+    ],
+    subcommands: &[],
+    run: run_fleet_mode,
+};
+
+fn run_fleet_mode(args: &Args) -> Result<(), Box<dyn Error>> {
     // --serial pins either engine to one worker: the same jobs, seeds,
     // and execution order as the parallel run.
-    let serial = args.iter().any(|a| a == "--serial");
     let config = FleetConfig {
-        workers: if serial { 1 } else { workers },
+        workers: if args.has("--serial") {
+            1
+        } else {
+            args.value("--workers").unwrap_or(0)
+        },
     };
-    let tele = Telemetry::from_args(args)?;
-    let journal = Journal::from_args(args)?;
+    let quiet = args.has("--quiet");
+    let journal = Journal::open(args.text("--journal").map(Path::new))?;
     let jobs = fleet::table1_jobs();
-    let seed = dramscope_bench::experiments::SEED;
-    if args.iter().any(|a| a == "--sharded") {
+    let seed = experiments::SEED;
+    let (metrics, ok) = if args.has("--sharded") {
         let report = fleet::run_fleet_sharded(&jobs, seed, config, journal.bus());
         println!(
             "Sharded fleet characterization — {} profiles, {} (profile, bank) tasks on {} workers, {:.0} ms wall",
@@ -464,61 +307,88 @@ fn run_fleet_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             report.workers,
             report.wall_ms
         );
-        if !tele.quiet {
+        if !quiet {
             print!("{}", report.table());
             println!("\nRun summary:");
             println!("{}", report.summary_json());
         }
-        tele.emit(&report.merged_metrics())?;
-        journal.finish()?;
-        if !report.all_ok() {
-            std::process::exit(1);
+        (report.merged_metrics(), report.all_ok())
+    } else {
+        let report = fleet::run_fleet(&jobs, seed, config, journal.bus());
+        println!(
+            "Fleet characterization — {} profiles on {} workers, {:.0} ms wall",
+            report.results.len(),
+            report.workers,
+            report.wall_ms
+        );
+        if !quiet {
+            print!("{}", report.table());
+            println!("\nRun report (JSON lines):");
+            print!("{}", report.json_lines());
         }
-        return Ok(());
-    }
-    let report = fleet::run_fleet(&jobs, seed, config, journal.bus());
-    println!(
-        "Fleet characterization — {} profiles on {} workers, {:.0} ms wall",
-        report.results.len(),
-        report.workers,
-        report.wall_ms
-    );
-    if !tele.quiet {
-        print!("{}", report.table());
-        println!("\nRun report (JSON lines):");
-        print!("{}", report.json_lines());
-    }
-    tele.emit(&report.merged_metrics())?;
+        (report.merged_metrics(), report.all_ok())
+    };
+    conclude(args, &journal, &metrics, ok)
+}
+
+/// The end of a long run: the metrics snapshot and footer, the journal
+/// flush, and exit 1 when a job failed.
+fn conclude(
+    args: &Args,
+    journal: &Journal,
+    reg: &Registry,
+    ok: bool,
+) -> Result<(), Box<dyn Error>> {
+    emit(args, reg)?;
     journal.finish()?;
-    if !report.all_ok() {
+    if !ok {
         std::process::exit(1);
     }
     Ok(())
 }
 
-fn run_sharded_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let name = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map_or("hbm2", String::as_str);
-    let Some((profile, opts)) = profiles::named_job(name) else {
-        return Err(unknown_profile(name));
-    };
-    let seed = parse_flag::<u64>(args, "--seed")?.unwrap_or(dramscope_bench::experiments::SEED);
-    let shards = parse_flag::<usize>(args, "--shards")?.unwrap_or(0);
-    let tele = Telemetry::from_args(args)?;
-    let journal = Journal::from_args(args)?;
-    // The shard engine has no event hook, so the lifecycle is narrated
-    // here: one queued/started/finished triple for the whole device run.
+/// Opens a device run's lifecycle on the journal, for the runs whose
+/// engine has no event hook of its own; the caller emits `job.finished`.
+fn start_job(journal: &Journal, job: &str, seed: u64) {
     if let Some(bus) = journal.bus() {
-        bus.emit(EventDraft::info("job.queued").job(name));
+        bus.emit(EventDraft::info("job.queued").job(job));
         bus.emit(
             EventDraft::info("job.started")
-                .job(name)
+                .job(job)
                 .field_u64("seed", seed),
         );
     }
-    let report = if args.iter().any(|a| a == "--serial") {
+}
+
+const SHARDED: Command = Command {
+    name: "characterize sharded",
+    about: "Characterizes every bank of one device concurrently.\n\
+            PROFILE defaults to hbm2; the merged dossier digest it prints is\n\
+            identical for serial and any shard count.",
+    operands: &["[PROFILE]"],
+    needs: "",
+    flags: &[
+        SEED,
+        SHARDS,
+        Flag::switch("--serial", "the one-bank-at-a-time reference"),
+        METRICS,
+        QUIET,
+        cli::JOURNAL,
+    ],
+    subcommands: &[],
+    run: run_sharded_mode,
+};
+
+fn run_sharded_mode(args: &Args) -> Result<(), Box<dyn Error>> {
+    let name = args.operand(0).unwrap_or("hbm2");
+    let (profile, opts) = named_job(name)?;
+    let seed = args.value("--seed").unwrap_or(experiments::SEED);
+    let shards = args.value("--shards").unwrap_or(0);
+    let quiet = args.has("--quiet");
+    let journal = Journal::open(args.text("--journal").map(Path::new))?;
+    // One queued/started/finished triple for the whole device run.
+    start_job(&journal, name, seed);
+    let report = if args.has("--serial") {
         shard::characterize_sharded_serial(&profile, seed, opts)
     } else {
         shard::characterize_sharded(&profile, seed, opts, ShardConfig { shards })
@@ -538,7 +408,7 @@ fn run_sharded_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         report.shards,
         report.wall_ms
     );
-    if !tele.quiet {
+    if !quiet {
         print!("{}", report.table());
         println!("\nRun summary:");
         println!("{}", report.summary_json());
@@ -549,26 +419,40 @@ fn run_sharded_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             dossier.digest()
         );
     }
-    tele.emit(&report.merged_metrics())?;
-    journal.finish()?;
-    if !report.all_ok() {
-        std::process::exit(1);
-    }
-    Ok(())
+    conclude(args, &journal, &report.merged_metrics(), report.all_ok())
 }
 
-fn run_record_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
-        return usage("record needs a profile name");
-    };
-    let Some((profile, opts)) = profiles::named_job(name) else {
-        return Err(unknown_profile(name));
-    };
-    let seed = parse_flag::<u64>(args, "--seed")?.unwrap_or(dramscope_bench::experiments::SEED);
-    let out = parse_flag::<String>(args, "--out")?.unwrap_or_else(|| format!("{name}.trace"));
+const RECORD: Command = Command {
+    name: "characterize record",
+    about: "Characterizes a device while recording its command trace.\n\
+            PROFILE is a Table I preset or a small test profile; the trace is the\n\
+            v2 indexed container unless --v1.",
+    operands: &["<PROFILE>"],
+    needs: "a profile name",
+    flags: &[
+        SEED,
+        Flag::text("--out", "FILE", "trace to write (default PROFILE.trace)"),
+        Flag::switch("--v1", "write v1, without the segment index"),
+        Flag::switch("--sharded", "record the bank-sharded flow"),
+        SHARDS,
+        METRICS,
+        QUIET,
+    ],
+    subcommands: &[],
+    run: run_record_mode,
+};
+
+fn run_record_mode(args: &Args) -> Result<(), Box<dyn Error>> {
+    let name = args.operand(0).unwrap_or_default();
+    let (profile, opts) = named_job(name)?;
+    let seed = args.value("--seed").unwrap_or(experiments::SEED);
+    let out = args
+        .text("--out")
+        .map_or_else(|| format!("{name}.trace"), String::from);
+    let shards = args.value("--shards").unwrap_or(0);
     // v2 (indexed container) is the default; `--v1` writes the bare
     // stream. The v1 payload bytes are identical either way.
-    let v1 = args.iter().any(|a| a == "--v1");
+    let v1 = args.has("--v1");
     let encode = |trace: &Trace| {
         if v1 {
             trace.to_bytes()
@@ -576,10 +460,9 @@ fn run_record_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             trace.to_bytes_indexed()
         }
     };
-    let tele = Telemetry::from_args(args)?;
+    let quiet = args.has("--quiet");
 
-    if args.iter().any(|a| a == "--sharded") {
-        let shards = parse_flag::<usize>(args, "--shards")?.unwrap_or(0);
+    if args.has("--sharded") {
         let (dossier, trace, metrics) = trace_run::record_characterization_sharded(
             &profile,
             seed,
@@ -598,7 +481,7 @@ fn run_record_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "seed {seed}, sharded dossier digest {:#018x}",
             dossier.digest()
         );
-        tele.emit(&metrics)?;
+        emit(args, &metrics)?;
         return Ok(());
     }
 
@@ -606,7 +489,7 @@ fn run_record_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         trace_run::record_characterization_instrumented(&profile, seed, opts)?;
     let bytes = encode(&trace);
     std::fs::write(&out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
-    if !tele.quiet {
+    if !quiet {
         print!("{dossier}");
         println!();
     }
@@ -620,18 +503,33 @@ fn run_record_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .dossier_digest
         .ok_or("recorded trace is missing its dossier digest")?;
     println!("seed {seed}, dossier digest {digest:#018x}");
-    if !tele.quiet {
+    if !quiet {
         print_run_report(&stats);
     }
-    tele.emit(&metrics)?;
+    emit(args, &metrics)?;
     Ok(())
 }
 
-fn run_replay_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return usage("replay needs a trace file");
-    };
-    let tele = Telemetry::from_args(args)?;
+const REPLAY: Command = Command {
+    name: "characterize replay",
+    about: "Re-runs a characterization from its trace and verifies it.\n\
+            The command stream and the dossier digest must reproduce bit for bit;\n\
+            sharded traces replay bank by bank.",
+    operands: &["<FILE>"],
+    needs: "a trace file",
+    flags: &[
+        Flag::parsed::<u32>("--bench", "N", "then time N raw replays on bare chips"),
+        METRICS,
+        QUIET,
+    ],
+    subcommands: &[],
+    run: run_replay_mode,
+};
+
+fn run_replay_mode(args: &Args) -> Result<(), Box<dyn Error>> {
+    let path = args.operand(0).unwrap_or_default();
+    let repeats = args.value::<u32>("--bench");
+    let quiet = args.has("--quiet");
     let trace = load_trace(path)?;
     println!(
         "replaying {} events for {} (seed {})",
@@ -647,11 +545,11 @@ fn run_replay_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             dossier.banks.len(),
             dossier.digest()
         );
-        tele.emit(&metrics)?;
+        emit(args, &metrics)?;
         return Ok(());
     }
     let (dossier, stats, metrics) = trace_run::replay_characterization_instrumented(&trace)?;
-    if !tele.quiet {
+    if !quiet {
         print!("{dossier}");
         println!();
     }
@@ -659,12 +557,12 @@ fn run_replay_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "replay verified: command stream and dossier digest {:#018x} reproduced bit-for-bit",
         dossier.digest()
     );
-    if !tele.quiet {
+    if !quiet {
         print_run_report(&stats);
     }
-    tele.emit(&metrics)?;
+    emit(args, &metrics)?;
 
-    if let Some(repeats) = parse_flag::<u32>(args, "--bench")? {
+    if let Some(repeats) = repeats {
         let bench = trace_run::replay_benchmark(&trace, repeats)?;
         let mut table = Table::new(vec!["run", "wall_ms", "commands", "cmds_per_sec"]);
         for (i, p) in bench.phases.iter().enumerate() {
@@ -686,62 +584,86 @@ fn run_replay_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run_bench_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+const BENCH: Command = Command {
+    name: "characterize bench",
+    about: "Runs the named performance suites.\n\
+            Optionally gates them against a saved snapshot (exit 1 on regression).",
+    operands: &[],
+    needs: "",
+    flags: &[
+        Flag::text("--save", "FILE", "write a BENCH_*.json snapshot"),
+        Flag::text("--baseline", "FILE", "gate against this snapshot"),
+        Flag::parsed::<f64>("--gate", "PCT", "allowed median growth (default 20)"),
+        Flag::parsed::<u32>("--warmup", "N", "warmup iterations per suite"),
+        Flag::parsed::<u32>("--iters", "N", "measured iterations per suite"),
+        Flag::text("--only", "A,B", "run only these suites"),
+        Flag::switch("--profile", "first profile one small run as a span tree"),
+        Flag::text("--flame", "FILE", "--profile, collapsed stacks to FILE"),
+        Flag::text("--profile-json", "FILE", "--profile, span tree as JSON"),
+        QUIET,
+    ],
+    subcommands: &[],
+    run: run_bench_mode,
+};
+
+fn run_bench_mode(args: &Args) -> Result<(), Box<dyn Error>> {
     use dram_perf::{gate, run_all, BenchConfig, PerfSnapshot, SharedProfiler};
 
-    let quiet = args.iter().any(|a| a == "--quiet");
+    let quiet = args.has("--quiet");
     let defaults = BenchConfig::default();
     let config = BenchConfig {
-        warmup: parse_flag::<u32>(args, "--warmup")?.unwrap_or(defaults.warmup),
-        iters: parse_flag::<u32>(args, "--iters")?.unwrap_or(defaults.iters),
+        warmup: args.value("--warmup").unwrap_or(defaults.warmup),
+        iters: args.value("--iters").unwrap_or(defaults.iters),
     };
-
-    let mut benches = dramscope_bench::perf_suites::suites();
-    if let Some(only) = parse_flag::<String>(args, "--only")? {
-        let wanted: Vec<&str> = only
-            .split(',')
+    let wanted: Option<Vec<&str>> = args.text("--only").map(|only| {
+        only.split(',')
             .map(str::trim)
             .filter(|s| !s.is_empty())
-            .collect();
-        for name in &wanted {
-            if !dramscope_bench::perf_suites::SUITE_NAMES.contains(name) {
-                return usage(format!(
-                    "unknown suite '{name}' (try one of: {:?})",
-                    dramscope_bench::perf_suites::SUITE_NAMES
-                ));
-            }
+            .collect()
+    });
+    for name in wanted.iter().flatten() {
+        if !dramscope_bench::perf_suites::SUITE_NAMES.contains(name) {
+            return usage(format!(
+                "unknown suite '{name}' (try one of: {:?})",
+                dramscope_bench::perf_suites::SUITE_NAMES
+            ));
         }
+    }
+    let save = args.text("--save");
+    let baseline = args.text("--baseline");
+    let threshold = args.value("--gate");
+    if threshold.is_some() && baseline.is_none() {
+        return usage("--gate needs --baseline FILE to compare against");
+    }
+    let flame_path = args.text("--flame");
+    let profile_json_path = args.text("--profile-json");
+
+    let mut benches = dramscope_bench::perf_suites::suites();
+    if let Some(wanted) = &wanted {
         benches.retain(|b| wanted.iter().any(|w| *w == b.name));
     }
 
     // Optional profiled run: one small characterization with the span
     // profiler riding the command sink, before the timed suites so the
     // tree never includes bench-harness noise.
-    let flame_path = parse_flag::<String>(args, "--flame")?;
-    let profile_json_path = parse_flag::<String>(args, "--profile-json")?;
-    let want_profile = args.iter().any(|a| a == "--profile")
-        || flame_path.is_some()
-        || profile_json_path.is_some();
-    if want_profile {
+    if args.has("--profile") || flame_path.is_some() || profile_json_path.is_some() {
         let profiler = SharedProfiler::new();
-        characterize_instrumented(
-            &ChipProfile::test_small(),
-            dramscope_bench::experiments::SEED,
-            small_opts(129),
-            Some(profiler.sink()),
-        )?;
+        // The shared name table's options, so CLI and daemon agree.
+        let (profile, opts) = named_job("test_small")?;
+        let seed = experiments::SEED;
+        characterize_instrumented(&profile, seed, opts, Some(profiler.sink()))?;
         let tree = profiler.finish();
         if !quiet {
             println!("Span profile (test_small characterization):");
             print!("{}", tree.to_text());
             println!();
         }
-        if let Some(path) = &flame_path {
+        if let Some(path) = flame_path {
             std::fs::write(path, tree.to_collapsed())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("wrote collapsed stacks to {path} (feed to flamegraph.pl)");
         }
-        if let Some(path) = &profile_json_path {
+        if let Some(path) = profile_json_path {
             std::fs::write(path, tree.to_json())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("wrote span-tree JSON to {path}");
@@ -784,107 +706,42 @@ fn run_bench_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     // PerfError's Display carries the path and byte offset; surface that
     // rather than the Debug repr a bare `?` on Box<dyn Error> prints.
-    if let Some(path) = parse_flag::<String>(args, "--save")? {
-        snapshot.save(&path).map_err(|e| e.to_string())?;
+    if let Some(path) = save {
+        snapshot.save(path).map_err(|e| e.to_string())?;
         println!("saved snapshot to {path}");
     }
-    if let Some(baseline_path) = parse_flag::<String>(args, "--baseline")? {
-        let threshold = parse_flag::<f64>(args, "--gate")?.unwrap_or(20.0);
-        let baseline = PerfSnapshot::load(&baseline_path).map_err(|e| e.to_string())?;
-        let report = gate::compare(&baseline, &snapshot, threshold).map_err(|e| e.to_string())?;
+    if let Some(baseline_path) = baseline {
+        let baseline = PerfSnapshot::load(baseline_path).map_err(|e| e.to_string())?;
+        let report = gate::compare(&baseline, &snapshot, threshold.unwrap_or(20.0))
+            .map_err(|e| e.to_string())?;
         println!("{report}");
         if report.failed() {
             std::process::exit(1);
         }
-    } else if parse_flag::<f64>(args, "--gate")?.is_some() {
-        return usage("--gate needs --baseline FILE to compare against");
     }
     Ok(())
 }
 
-/// The `serve` subcommand: runs the `dramscoped` daemon in-process —
-/// JSON-lines requests from stdin (or a unix socket with `--socket`),
-/// the shared fleet pool, the content-addressed dossier cache.
-fn run_serve_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use dramscope_service::{ConnMode, Service};
-    let workers = parse_flag::<usize>(args, "--workers")?.unwrap_or(0);
-    let socket = parse_flag::<String>(args, "--socket")?;
-    let trace_dir = parse_flag::<String>(args, "--trace-dir")?;
-    let cache_dir = parse_flag::<String>(args, "--cache-dir")?;
-    let cache_max_entries = parse_flag::<u64>(args, "--cache-max-entries")?.unwrap_or(0);
-    let cache_max_bytes = parse_flag::<u64>(args, "--cache-max-bytes")?.unwrap_or(0);
-    let journal = Journal::from_args(args)?;
-    let mut mode = ConnMode::Pipelined;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            // parse_flag already checked the values exist and parse.
-            "--workers"
-            | "--socket"
-            | "--journal"
-            | "--trace-dir"
-            | "--cache-dir"
-            | "--cache-max-entries"
-            | "--cache-max-bytes" => i += 2,
-            "--serial" => {
-                mode = ConnMode::Serial;
-                i += 1;
-            }
-            other => return usage(format!("serve does not take '{other}'")),
-        }
-    }
-    let service = std::sync::Arc::new(match journal.bus() {
-        None => Service::new(workers),
-        Some(bus) => Service::with_events(workers, bus.clone()),
-    });
-    if let Some(dir) = trace_dir {
-        service.set_trace_dir(dir);
-    }
-    if let Some(dir) = cache_dir {
-        service
-            .set_cache_dir(&dir)
-            .map_err(|e| format!("--cache-dir {dir}: {e}"))?;
-    }
-    if cache_max_entries != 0 || cache_max_bytes != 0 {
-        service.set_cache_limits(cache_max_entries, cache_max_bytes);
-    }
-    match socket {
-        None => dramscope_service::serve_stdio_mode(&service, mode)?,
-        Some(path) => serve_socket(&service, &path, mode)?,
-    }
-    journal.finish()?;
-    Ok(())
-}
+/// `serve` runs the `dramscoped` daemon in-process, through the same
+/// front-end as the `dramscoped` binary.
+const SERVE: Command = ServeConfig::command("characterize serve");
 
-#[cfg(unix)]
-fn serve_socket(
-    service: &std::sync::Arc<dramscope_service::Service>,
-    path: &str,
-    mode: dramscope_service::ConnMode,
-) -> Result<(), Box<dyn std::error::Error>> {
-    dramscope_service::serve_unix_mode(service, std::path::Path::new(path), mode)?;
-    Ok(())
-}
+const DIFF: Command = Command {
+    name: "characterize diff",
+    about: "Compares two traces structurally (exit 1 when they differ).",
+    operands: &["<A>", "<B>"],
+    needs: "two trace files",
+    flags: &[SEGMENT, BANK],
+    subcommands: &[],
+    run: run_diff_mode,
+};
 
-#[cfg(not(unix))]
-fn serve_socket(
-    _service: &std::sync::Arc<dramscope_service::Service>,
-    _path: &str,
-    _mode: dramscope_service::ConnMode,
-) -> Result<(), Box<dyn std::error::Error>> {
-    usage("--socket requires a unix platform")
-}
-
-fn run_diff_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let (Some(a), Some(b)) = (
-        args.first().filter(|a| !a.starts_with("--")),
-        args.get(1).filter(|a| !a.starts_with("--")),
-    ) else {
-        return usage("diff needs two trace files");
-    };
+fn run_diff_mode(args: &Args) -> Result<(), Box<dyn Error>> {
+    let a = args.operand(0).unwrap_or_default();
+    let b = args.operand(1).unwrap_or_default();
     // The same filter applies to both sides, so a diff scoped to one
     // phase or bank compares exactly the events both traces keep.
-    let filter = SegmentFilter::from_args(args)?;
+    let filter = SegmentFilter::from_args(args);
     let (ta, _, _) = load_filtered_trace(a, &filter)?;
     let (tb, _, _) = load_filtered_trace(b, &filter)?;
     let diff = diff_traces(&ta, &tb);
@@ -895,29 +752,31 @@ fn run_diff_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run_dump_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return usage("dump needs a trace file");
-    };
-    let filter = SegmentFilter::from_args(args)?;
-    // Dumps run to tens of thousands of lines and get piped into `head`;
-    // a closed stdout is normal termination, not an error.
-    use std::io::Write;
+const DUMP: Command = Command {
+    name: "characterize dump",
+    about: "Renders a trace as text, one event per line.",
+    operands: &["<FILE>"],
+    needs: "a trace file",
+    flags: &[SEGMENT, BANK],
+    subcommands: &[],
+    run: run_dump_mode,
+};
+
+fn run_dump_mode(args: &Args) -> Result<(), Box<dyn Error>> {
+    let path = args.operand(0).unwrap_or_default();
+    let filter = SegmentFilter::from_args(args);
     let text = if filter.is_active() {
         dump_filtered(path, &filter)?
     } else {
         load_trace(path)?.dump()
     };
-    match std::io::stdout().write_all(text.as_bytes()) {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.into()),
-        _ => Ok(()),
-    }
+    print_piped(&text)
 }
 
 /// Filtered dump: only the selected segments are decoded, and every
 /// event line keeps its global index in the full stream so filtered and
 /// unfiltered dumps line up.
-fn dump_filtered(path: &str, filter: &SegmentFilter) -> Result<String, Box<dyn std::error::Error>> {
+fn dump_filtered(path: &str, filter: &SegmentFilter) -> Result<String, Box<dyn Error>> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let indexed = IndexedTrace::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let header = indexed.header();
@@ -982,17 +841,27 @@ fn time_span(min_ps: Option<u64>, max_ps: Option<u64>) -> String {
     }
 }
 
-/// The `index` subcommand: upgrades a trace (either version) to the v2
-/// indexed container and prints the segment table. The v1 payload bytes
-/// are carried over unchanged, so digests and replay are unaffected.
-fn run_index_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return usage("index needs a trace file");
+/// `index` carries the v1 payload bytes over unchanged, so digests and
+/// replay are unaffected.
+const INDEX: Command = Command {
+    name: "characterize index",
+    about: "Upgrades a trace to the v2 indexed container.\n\
+            Prints the segment table; the v1 payload bytes are carried over\n\
+            unchanged.",
+    operands: &["<FILE>"],
+    needs: "a trace file",
+    flags: &[Flag::text("--out", "FILE", "default: <name>.v2.trace")],
+    subcommands: &[],
+    run: run_index_mode,
+};
+
+fn run_index_mode(args: &Args) -> Result<(), Box<dyn Error>> {
+    let path = args.operand(0).unwrap_or_default();
+    let stem = path.strip_suffix(".trace").unwrap_or(path);
+    let out = match args.text("--out") {
+        Some(out) => out.to_string(),
+        None => format!("{stem}.v2.trace"),
     };
-    let out = parse_flag::<String>(args, "--out")?.unwrap_or_else(|| {
-        let stem = path.strip_suffix(".trace").unwrap_or(path);
-        format!("{stem}.v2.trace")
-    });
     let trace = load_trace(path)?;
     let bytes = trace.to_bytes_indexed();
     std::fs::write(&out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -1003,22 +872,18 @@ fn run_index_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "segment", "label", "offset", "bytes", "events", "banks", "time_ps", "commands",
     ]);
     for (i, seg) in indexed.segments().iter().enumerate() {
-        let banks = if seg.banks.is_empty() {
-            "-".into()
-        } else {
-            seg.banks
-                .iter()
-                .map(u32::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        };
+        let banks: Vec<String> = seg.banks.iter().map(u32::to_string).collect();
         t.row(vec![
             i.to_string(),
             seg.label.clone(),
             seg.offset.to_string(),
             seg.len.to_string(),
             seg.events.to_string(),
-            banks,
+            if banks.is_empty() {
+                "-".into()
+            } else {
+                banks.join(",")
+            },
             time_span(seg.min_ps, seg.max_ps),
             ops_summary(&seg.ops),
         ]);
@@ -1029,21 +894,12 @@ fn run_index_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         indexed.segments().len(),
         bytes.len()
     );
-    // Segment tables get piped into `head`; a closed stdout is normal
-    // termination, not an error.
-    use std::io::Write;
-    match std::io::stdout().write_all(text.as_bytes()) {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.into()),
-        _ => Ok(()),
-    }
+    print_piped(&text)
 }
 
 /// Splits a comma-separated flag value, rejecting empty entries.
-fn parse_list_flag(
-    args: &[String],
-    flag: &str,
-) -> Result<Option<Vec<String>>, Box<dyn std::error::Error>> {
-    let Some(raw) = parse_flag::<String>(args, flag)? else {
+fn parse_list_flag(args: &Args, flag: &str) -> Result<Option<Vec<String>>, Box<dyn Error>> {
+    let Some(raw) = args.text(flag) else {
         return Ok(None);
     };
     let items: Vec<String> = raw
@@ -1058,60 +914,64 @@ fn parse_list_flag(
     Ok(Some(items))
 }
 
-/// The `query` subcommand: evaluates a predicate over one trace file or
-/// every `*.trace` in a directory, pruning non-matching segments by
-/// index metadata before decoding. Exits 1 when nothing matches.
-fn run_query_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return usage("query needs a trace file or directory");
-    };
-    let banks = match parse_list_flag(args, "--bank")? {
-        None => None,
-        Some(items) => {
-            let mut banks = Vec::new();
-            for item in items {
-                match item.parse::<u32>() {
-                    Ok(b) => banks.push(b),
-                    Err(e) => return usage(format!("invalid --bank value '{item}': {e}")),
-                }
-            }
-            Some(banks)
+/// `query` prunes non-matching segments by their index metadata before
+/// decoding.
+const QUERY: Command = Command {
+    name: "characterize query",
+    about: "Finds the events of one trace, or of a directory, that match.\n\
+            Segments whose index metadata cannot match are never decoded; exit 1\n\
+            when nothing matches.",
+    operands: &["<PATH>"],
+    needs: "a trace file or directory",
+    flags: &[
+        Flag::text("--bank", "LIST", "only these banks (a,b,...)"),
+        Flag::text("--cmd", "LIST", "only these command mnemonics"),
+        Flag::text("--marker", "PREFIX", "only segments whose label has PREFIX"),
+        Flag::parsed::<u64>("--from-ps", "N", "only events at or after N ps"),
+        Flag::parsed::<u64>("--to-ps", "N", "only events at or before N ps"),
+        Flag::parsed::<u64>("--min-count", "N", "segments need N+ matches (default 1)"),
+        Flag::parsed::<u64>("--max-count", "N", "segments need at most N matches"),
+        Flag::switch("--json", "print the report as JSON"),
+        Flag::switch("--csv", "print the hits as CSV"),
+    ],
+    subcommands: &[],
+    run: run_query_mode,
+};
+
+fn run_query_mode(args: &Args) -> Result<(), Box<dyn Error>> {
+    let path = args.operand(0).unwrap_or_default();
+    let mut banks = Vec::new();
+    for item in parse_list_flag(args, "--bank")?.iter().flatten() {
+        match item.parse::<u32>() {
+            Ok(b) => banks.push(b),
+            Err(e) => return usage(format!("invalid --bank value '{item}': {e}")),
         }
-    };
-    let mnemonics = match parse_list_flag(args, "--cmd")? {
-        None => None,
-        Some(items) => {
-            for item in &items {
-                if !SEGMENT_MNEMONICS.contains(&item.as_str()) {
-                    return usage(format!(
-                        "unknown --cmd '{item}' (try one of: {})",
-                        SEGMENT_MNEMONICS.join(", ")
-                    ));
-                }
-            }
-            Some(items)
+    }
+    let mnemonics = parse_list_flag(args, "--cmd")?;
+    for m in mnemonics.iter().flatten() {
+        if !SEGMENT_MNEMONICS.contains(&m.as_str()) {
+            let known = SEGMENT_MNEMONICS.join(", ");
+            return usage(format!("unknown --cmd '{m}' (try one of: {known})"));
         }
-    };
+    }
     let query = Query {
-        from_ps: parse_flag::<u64>(args, "--from-ps")?,
-        to_ps: parse_flag::<u64>(args, "--to-ps")?,
-        banks,
+        from_ps: args.value("--from-ps"),
+        to_ps: args.value("--to-ps"),
+        banks: args.has("--bank").then_some(banks),
         mnemonics,
-        marker_prefix: parse_flag::<String>(args, "--marker")?,
-        min_count: parse_flag::<u64>(args, "--min-count")?,
-        max_count: parse_flag::<u64>(args, "--max-count")?,
+        marker_prefix: args.text("--marker").map(String::from),
+        min_count: args.value("--min-count"),
+        max_count: args.value("--max-count"),
     };
     if let (Some(from), Some(to)) = (query.from_ps, query.to_ps) {
         if from > to {
             return usage(format!("--from-ps {from} is after --to-ps {to}"));
         }
     }
-    let report = dram_trace::query_path(std::path::Path::new(path), &query)?;
+    let report = dram_trace::query_path(Path::new(path), &query)?;
 
-    let out = if args.iter().any(|a| a == "--json") {
-        let mut s = report.to_json();
-        s.push('\n');
-        s
+    let out = if args.has("--json") {
+        format!("{}\n", report.to_json())
     } else {
         let mut t = Table::new(vec![
             "file", "segment", "label", "events", "matched", "time_ps", "commands",
@@ -1127,7 +987,7 @@ fn run_query_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 ops_summary(&hit.ops),
             ]);
         }
-        if args.iter().any(|a| a == "--csv") {
+        if args.has("--csv") {
             t.to_csv()
         } else {
             format!(
@@ -1141,14 +1001,7 @@ fn run_query_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             )
         }
     };
-    // Query listings get piped into `head`/`grep`; a closed stdout is
-    // normal termination, not an error.
-    use std::io::Write;
-    if let Err(e) = std::io::stdout().write_all(out.as_bytes()) {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            return Err(e.into());
-        }
-    }
+    print_piped(&out)?;
     if !report.is_match() {
         std::process::exit(1);
     }
@@ -1172,32 +1025,44 @@ impl Lifecycle {
     }
 }
 
-/// The `events` subcommand: reads a journal written with `--journal`,
-/// prints the matching event lines, and reconstructs the per-job
-/// lifecycle. Corrupt lines are salvaged around (reported to stderr with
-/// their 1-based line numbers), never fatal.
-fn run_events_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return usage("events needs a journal file");
+/// `events` salvages around corrupt journal lines (reported to stderr
+/// with their 1-based line numbers); they are never fatal.
+const EVENTS: Command = Command {
+    name: "characterize events",
+    about: "Reads back a journal written with --journal.\n\
+            Prints the matching event lines and every job's queued/started/\n\
+            finished/panicked lifecycle (exit 1 when one is unmatched).",
+    operands: &["<JOURNAL>"],
+    needs: "a journal file",
+    flags: &[
+        Flag::text("--sev", "LEVEL", "only this severity or worse"),
+        Flag::text("--job", "ID", "only this job's events"),
+        Flag::text("--kind", "PREFIX", "only kinds starting with PREFIX"),
+        Flag::parsed::<u64>("--since-seq", "N", "only events numbered N or later"),
+        Flag::parsed::<u64>("--until-seq", "N", "only events numbered N or earlier"),
+        Flag::parsed::<usize>("--tail", "N", "only the last N matching events"),
+        Flag::switch("--stable", "render without the wall-clock keys"),
+        Flag::switch("--quiet", "print only the lifecycle summary"),
+    ],
+    subcommands: &[],
+    run: run_events_mode,
+};
+
+fn run_events_mode(args: &Args) -> Result<(), Box<dyn Error>> {
+    let path = args.operand(0).unwrap_or_default();
+    let sev = args.text("--sev").unwrap_or("debug");
+    let Some(sev) = Severity::parse(sev) else {
+        return usage(format!(
+            "invalid --sev '{sev}' (try debug, info, warn, error)"
+        ));
     };
-    let sev = match parse_flag::<String>(args, "--sev")? {
-        None => Severity::Debug,
-        Some(s) => match Severity::parse(&s) {
-            Some(sev) => sev,
-            None => {
-                return usage(format!(
-                    "invalid --sev '{s}' (try debug, info, warn, error)"
-                ))
-            }
-        },
-    };
-    let job = parse_flag::<String>(args, "--job")?;
-    let kind = parse_flag::<String>(args, "--kind")?;
-    let since_seq = parse_flag::<u64>(args, "--since-seq")?.unwrap_or(0);
-    let until_seq = parse_flag::<u64>(args, "--until-seq")?.unwrap_or(u64::MAX);
-    let tail = parse_flag::<usize>(args, "--tail")?;
-    let stable = args.iter().any(|a| a == "--stable");
-    let quiet = args.iter().any(|a| a == "--quiet");
+    let job = args.text("--job");
+    let kind = args.text("--kind");
+    let since_seq = args.value("--since-seq").unwrap_or(0);
+    let until_seq = args.value("--until-seq").unwrap_or(u64::MAX);
+    let tail = args.value::<usize>("--tail");
+    let stable = args.has("--stable");
+    let quiet = args.has("--quiet");
 
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut corrupt = 0usize;
@@ -1218,10 +1083,8 @@ fn run_events_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             e.severity >= sev
                 && e.seq >= since_seq
                 && e.seq <= until_seq
-                && job
-                    .as_deref()
-                    .is_none_or(|j| e.job_id.as_deref() == Some(j))
-                && kind.as_deref().is_none_or(|k| e.kind.starts_with(k))
+                && job.is_none_or(|j| e.job_id.as_deref() == Some(j))
+                && kind.is_none_or(|k| e.kind.starts_with(k))
         })
         .collect();
     if let Some(n) = tail {
@@ -1289,66 +1152,30 @@ fn run_events_mode(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         unmatched,
     ));
 
-    // Event listings get piped into `head`/`grep`; a closed stdout is
-    // normal termination, not an error.
-    use std::io::Write;
-    if let Err(e) = std::io::stdout().write_all(out.as_bytes()) {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            return Err(e.into());
-        }
-    }
+    print_piped(&out)?;
     if unmatched > 0 {
         std::process::exit(1);
     }
     Ok(())
 }
 
-fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    // Subcommands must come first; their flags follow. A profile run
-    // takes its name from the first non-flag argument, so bare
-    // `characterize --quiet` still selects the default profile.
-    match args.first().map(String::as_str) {
-        Some("fleet") => return run_fleet_mode(&args[1..]),
-        Some("sharded") => return run_sharded_mode(&args[1..]),
-        Some("record") => return run_record_mode(&args[1..]),
-        Some("replay") => return run_replay_mode(&args[1..]),
-        Some("diff") => return run_diff_mode(&args[1..]),
-        Some("dump") => return run_dump_mode(&args[1..]),
-        Some("stats") => return run_stats_mode(&args[1..]),
-        Some("index") => return run_index_mode(&args[1..]),
-        Some("query") => return run_query_mode(&args[1..]),
-        Some("bench") => return run_bench_mode(&args[1..]),
-        Some("serve") => return run_serve_mode(&args[1..]),
-        Some("events") => return run_events_mode(&args[1..]),
-        _ => {}
-    }
-    let name = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && (*i == 0 || (args[*i - 1] != "--metrics" && args[*i - 1] != "--journal"))
-        })
-        .map_or("default", |(_, s)| s.as_str());
+/// The profile run: a Table I preset only, because it forces the
+/// swizzle probe, which the small test profiles are too short for.
+fn run_profile(args: &Args) -> Result<(), Box<dyn Error>> {
+    let name = args.operand(0).unwrap_or("default");
     let Some((profile, mut opts)) = profiles::preset_job(name) else {
+        let commands: Vec<&str> = CHARACTERIZE.subcommands.iter().map(|c| c.word()).collect();
         return usage(format!(
-            "unknown command or profile '{name}' (try one of: {}, \
-             fleet, sharded, record, replay, diff, dump, stats, index, query, bench, serve, events)",
-            profiles::known_names().join(", ")
+            "unknown command or profile '{name}' (try one of: {}, {})",
+            profiles::PRESET_NAMES.join(", "),
+            commands.join(", ")
         ));
     };
-    let tele = Telemetry::from_args(args)?;
-    let journal = Journal::from_args(args)?;
+    let quiet = args.has("--quiet");
+    let journal = Journal::open(args.text("--journal").map(Path::new))?;
     opts.with_swizzle = true;
-    let seed = dramscope_bench::experiments::SEED;
-    if let Some(bus) = journal.bus() {
-        bus.emit(EventDraft::info("job.queued").job(name));
-        bus.emit(
-            EventDraft::info("job.started")
-                .job(name)
-                .field_u64("seed", seed),
-        );
-    }
+    let seed = experiments::SEED;
+    start_job(&journal, name, seed);
     // A journaled run also surfaces simulator clock anomalies as events.
     let sink = journal.bus().map(|bus| {
         Box::new(AnomalySink::new(bus.clone(), None, Some(name)))
@@ -1364,21 +1191,10 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     journal.finish()?;
     let (dossier, stats, metrics) = outcome?;
-    if !tele.quiet {
+    if !quiet {
         print!("{dossier}");
         print_run_report(&stats);
     }
-    tele.emit(&metrics)?;
+    emit(args, &metrics)?;
     Ok(())
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = run(&args) {
-        eprintln!("characterize: {e}");
-        // Usage errors (bad flags, unknown names, missing operands)
-        // exit 2 in every subcommand; runtime failures exit 1.
-        let code = if e.is::<UsageError>() { 2 } else { 1 };
-        std::process::exit(code);
-    }
 }

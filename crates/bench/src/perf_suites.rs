@@ -3,7 +3,7 @@
 //! Each suite wraps one of the repo's hot paths in a [`dram_perf::Bench`]
 //! closure: the raw chip command loop, an end-to-end characterization,
 //! the fleet engine (serial and parallel over the same jobs), trace
-//! record/replay/decode (serial and indexed-parallel), a trace-lake
+//! record/replay/decode, a trace-lake
 //! query, and the telemetry snapshot renderer. Every
 //! workload runs on the small test profiles so a full run finishes in
 //! seconds; the point is relative timing between runs of the same
@@ -60,7 +60,7 @@ fn small_fleet_jobs() -> Vec<FleetJob> {
 const SEED: u64 = 0xbe9c;
 
 /// The stable suite names, in the order [`suites`] builds them.
-pub const SUITE_NAMES: [&str; 12] = [
+pub const SUITE_NAMES: [&str; 11] = [
     "chip_command_loop",
     "characterize_small",
     "characterize_sharded",
@@ -70,7 +70,6 @@ pub const SUITE_NAMES: [&str; 12] = [
     "trace_replay",
     "trace_replay_fast",
     "trace_decode",
-    "trace_decode_parallel",
     "trace_query",
     "metrics_snapshot",
 ];
@@ -92,8 +91,6 @@ pub fn suites() -> Vec<Bench> {
         small_opts(),
     )
     .expect("characterizing the small test profile cannot fail");
-    let trace_bytes = trace.to_bytes();
-    let indexed_bytes = trace.to_bytes_indexed();
 
     vec![
         chip_command_loop(),
@@ -104,9 +101,8 @@ pub fn suites() -> Vec<Bench> {
         trace_record(),
         trace_replay(trace.clone()),
         trace_replay_fast(trace.clone()),
-        trace_decode(trace_bytes),
-        trace_decode_parallel(indexed_bytes.clone()),
-        trace_query(indexed_bytes),
+        trace_decode(trace.to_bytes()),
+        trace_query(trace.to_bytes_indexed()),
         metrics_snapshot(registry),
     ]
 }
@@ -244,23 +240,6 @@ fn trace_decode(bytes: Vec<u8>) -> Bench {
     Bench::new("trace_decode", move || {
         let trace = dram_trace::Trace::from_bytes(&bytes)
             .expect("decoding a just-encoded trace cannot fail");
-        let events = trace.events.len() as u64;
-        std::hint::black_box(trace);
-        events
-    })
-}
-
-/// Parallel per-segment decode of the v2 indexed container on the
-/// machine's available parallelism. Read against `trace_decode` (the
-/// serial whole-stream decode of the same events) to see what the
-/// segment index buys; on a one-core host parity is the expectation.
-fn trace_decode_parallel(bytes: Vec<u8>) -> Bench {
-    Bench::new("trace_decode_parallel", move || {
-        let indexed = dram_trace::IndexedTrace::from_bytes(&bytes)
-            .expect("opening a just-encoded container cannot fail");
-        let trace = indexed
-            .decode_parallel(0)
-            .expect("decoding a just-encoded container cannot fail");
         let events = trace.events.len() as u64;
         std::hint::black_box(trace);
         events

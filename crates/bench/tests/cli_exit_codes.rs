@@ -46,6 +46,91 @@ fn usage_errors_exit_2_in_every_subcommand() {
     );
 }
 
+/// Every subcommand and the bare profile run read one grammar: an
+/// unknown flag and an operand past the declared ones are usage errors
+/// naming the command, and `--help` prints the usage and runs nothing.
+#[test]
+fn every_command_refuses_unknown_flags_and_extra_operands_and_answers_help() {
+    // Each command with its required operands filled in, and the name
+    // its usage errors use.
+    let commands: &[(&[&str], &str)] = &[
+        (&[], "characterize"),
+        (&["mfr_a_x4_2016"], "characterize"),
+        (&["fleet"], "fleet"),
+        (&["sharded", "hbm2"], "sharded"),
+        (&["record", "test_small"], "record"),
+        (&["replay", "a.trace"], "replay"),
+        (&["diff", "a.trace", "b.trace"], "diff"),
+        (&["dump", "a.trace"], "dump"),
+        (&["stats", "a.trace"], "stats"),
+        (&["index", "a.trace"], "index"),
+        (&["query", "lake"], "query"),
+        (&["bench"], "bench"),
+        (&["serve"], "serve"),
+        (&["events", "j.jsonl"], "events"),
+    ];
+    for (line, name) in commands {
+        assert_usage(
+            &[line, &["--bogus"][..]].concat(),
+            &format!("{name} does not take '--bogus'"),
+        );
+        if !line.is_empty() {
+            assert_usage(
+                &[line, &["extra"][..]].concat(),
+                &format!("{name} does not take 'extra'"),
+            );
+        }
+        let out = characterize(&[line, &["--help"][..]].concat());
+        assert_eq!(out.status.code(), Some(0), "{line:?} --help -> {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: characterize"), "{stdout}");
+        assert!(stdout.contains("-h, --help"), "{stdout}");
+        assert!(
+            !stdout.contains("Telemetry:"),
+            "{line:?} --help ran: {stdout}"
+        );
+        assert!(out.stderr.is_empty(), "{line:?} --help -> {out:?}");
+    }
+    // The bare run takes its one operand as a profile name.
+    assert_usage(&["extra"], "unknown command or profile 'extra'");
+    // Flags are read in any order and only once.
+    assert_usage(
+        &["stats", "--bank", "1", "a.trace", "--bank", "2"],
+        "stats does not take '--bank' twice",
+    );
+}
+
+/// The profile run resolves Table I presets only (it forces the swizzle
+/// probe, which the small test profiles are too short for), so its
+/// error lists the presets and the subcommands, not `test_small`.
+#[test]
+fn profile_run_error_lists_presets_and_subcommands() {
+    let out = characterize(&["test_small"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (_, listed) = stderr.split_once("try one of: ").expect("a list");
+    assert!(listed.contains("mfr_a_x4_2016, "), "{stderr}");
+    assert!(listed.contains("hbm2, fleet, "), "{stderr}");
+    assert!(listed.contains("serve, events)"), "{stderr}");
+    assert!(!listed.contains("test_small"), "{stderr}");
+}
+
+/// Every value is read before any work starts: a malformed `--bench`
+/// fails before the trace is replayed.
+#[test]
+fn replay_rejects_a_malformed_bench_count_before_replaying() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/test_small.trace"
+    );
+    let out = characterize(&["replay", golden, "--bench", "x"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("invalid --bench value 'x'"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("replaying"), "{stdout}");
+}
+
 #[test]
 fn missing_and_malformed_flag_values_exit_2() {
     assert_usage(&["sharded", "test_small", "--seed"], "--seed needs a value");

@@ -1,166 +1,12 @@
-//! `dramscoped` — the characterization daemon.
-//!
-//! ```text
-//! dramscoped [--workers N] [--socket PATH] [--trace-dir PATH]
-//!            [--cache-dir PATH] [--cache-max-entries N]
-//!            [--cache-max-bytes N] [--serial]
-//! ```
-//!
-//! With no `--socket`, serves JSON-lines requests from stdin to stdout
-//! until EOF or a `shutdown` request. With `--socket PATH`, listens on
-//! a unix socket (one thread per connection, shared cache and pool)
-//! until a client sends `shutdown`. `--trace-dir PATH` points `query`
-//! requests at a directory of recorded traces (without it, queries are
-//! answered with an error).
-//!
-//! Connections are pipelined by default: each request runs on its own
-//! handler thread and responses are written, tagged by request id, as
-//! they complete — a cached job overtakes a slow miss. `--serial`
-//! restores strict request-order responses (byte-stable output for a
-//! given input; what the CI smokes pin).
-//!
-//! `--cache-dir` adds a persistence tier: completed dossiers are
-//! written as `0x<key>` files (temp-file-then-rename) and a restarted
-//! daemon serves them as cache hits without re-simulating.
-//! `--cache-max-entries`/`--cache-max-bytes` bound the in-memory tier
-//! with a deterministic LRU (0 = unbounded); evictions are counted in
-//! `stats` and narrated as `cache.evict` events.
-//!
-//! Usage errors exit 2; runtime failures exit 1.
+//! `dramscoped` — the characterization daemon: JSON-lines requests on
+//! stdin/stdout or a unix socket. `dramscoped --help` lists its flags,
+//! which [`ServeConfig`] declares for it and `characterize serve` alike.
 
-use dramscope_service::{ConnMode, Service};
+use dramscope_service::{cli, ServeConfig};
 use std::process::ExitCode;
-use std::sync::Arc;
 
-const USAGE: &str = "usage: dramscoped [--workers N] [--socket PATH] [--trace-dir PATH]
-                  [--cache-dir PATH] [--cache-max-entries N] [--cache-max-bytes N] [--serial]
-  --workers N     fleet pool threads (0 = machine parallelism; default 0)
-  --socket PATH   serve a unix socket instead of stdin/stdout (unix only)
-  --trace-dir PATH directory of *.trace files that query requests scan
-  --cache-dir PATH persist dossiers as 0x<key> files; restarts serve them as hits
-  --cache-max-entries N bound the in-memory cache to N entries (0 = unbounded)
-  --cache-max-bytes N   bound the in-memory cache to N payload bytes (0 = unbounded)
-  --serial        answer requests strictly in order (byte-stable; default is pipelined)
-
-Requests are JSON lines, e.g.:
-  {\"req\":\"characterize\",\"id\":\"j1\",\"profile\":\"test_small\",\"seed\":42}
-  {\"req\":\"query\",\"id\":\"q1\",\"cmd\":\"act\",\"bank\":3}
-  {\"req\":\"stats\"}
-  {\"req\":\"shutdown\"}";
-
-fn usage_error(message: &str) -> ExitCode {
-    eprintln!("dramscoped: {message}\n{USAGE}");
-    ExitCode::from(2)
-}
+const DRAMSCOPED: cli::Command = ServeConfig::command("dramscoped");
 
 fn main() -> ExitCode {
-    let mut workers = 0usize;
-    let mut socket: Option<String> = None;
-    let mut trace_dir: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut cache_max_entries = 0u64;
-    let mut cache_max_bytes = 0u64;
-    let mut mode = ConnMode::Pipelined;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--workers" => {
-                let Some(n) = args.next() else {
-                    return usage_error("--workers needs a thread count");
-                };
-                match n.parse() {
-                    Ok(n) => workers = n,
-                    Err(_) => {
-                        return usage_error(&format!("invalid --workers value \"{n}\""));
-                    }
-                }
-            }
-            "--socket" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--socket needs a path");
-                };
-                socket = Some(path);
-            }
-            "--trace-dir" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--trace-dir needs a path");
-                };
-                trace_dir = Some(path);
-            }
-            "--cache-dir" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--cache-dir needs a path");
-                };
-                cache_dir = Some(path);
-            }
-            "--cache-max-entries" => {
-                let Some(n) = args.next() else {
-                    return usage_error("--cache-max-entries needs a count");
-                };
-                match n.parse() {
-                    Ok(n) => cache_max_entries = n,
-                    Err(_) => {
-                        return usage_error(&format!("invalid --cache-max-entries value \"{n}\""));
-                    }
-                }
-            }
-            "--cache-max-bytes" => {
-                let Some(n) = args.next() else {
-                    return usage_error("--cache-max-bytes needs a byte count");
-                };
-                match n.parse() {
-                    Ok(n) => cache_max_bytes = n,
-                    Err(_) => {
-                        return usage_error(&format!("invalid --cache-max-bytes value \"{n}\""));
-                    }
-                }
-            }
-            "--serial" => mode = ConnMode::Serial,
-            other => {
-                return usage_error(&format!("unknown argument \"{other}\""));
-            }
-        }
-    }
-
-    let service = Arc::new(Service::new(workers));
-    if let Some(dir) = trace_dir {
-        service.set_trace_dir(dir);
-    }
-    if let Some(dir) = cache_dir {
-        if let Err(e) = service.set_cache_dir(&dir) {
-            eprintln!("dramscoped: --cache-dir {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if cache_max_entries != 0 || cache_max_bytes != 0 {
-        service.set_cache_limits(cache_max_entries, cache_max_bytes);
-    }
-    let served = match socket {
-        None => dramscope_service::serve_stdio_mode(&service, mode),
-        Some(path) => serve_socket(&service, &path, mode),
-    };
-    match served {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("dramscoped: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-#[cfg(unix)]
-fn serve_socket(service: &Arc<Service>, path: &str, mode: ConnMode) -> std::io::Result<()> {
-    dramscope_service::serve_unix_mode(service, std::path::Path::new(path), mode)
-}
-
-#[cfg(not(unix))]
-fn serve_socket(_service: &Arc<Service>, _path: &str, _mode: ConnMode) -> std::io::Result<()> {
-    Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
-        "--socket requires a unix platform",
-    ))
+    cli::main(&DRAMSCOPED)
 }

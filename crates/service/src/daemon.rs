@@ -507,45 +507,28 @@ fn serve_connection<R: BufRead, W: Write + Send + 'static>(
             join_handlers(handles, first_err, true);
             first_err.take().map_or(Ok(()), Err)
         };
+        let null = |message| ProtocolError {
+            id: "null".into(),
+            message,
+        };
         loop {
-            let line = match read_request_line(&mut reader)? {
+            let parsed = match read_request_line(&mut reader)? {
                 None => {
                     drain(&mut handles, &mut first_err)?;
                     close(requests);
                     return Ok(false);
                 }
-                Some(Err(0)) => {
-                    let e = ProtocolError {
-                        id: "null".into(),
-                        message: "request line is not valid UTF-8".into(),
-                    };
-                    service.events().emit(
-                        EventDraft::warn("request.decode_error").field_str("message", &e.message),
-                    );
-                    write_line(writer, &error_line(&e))?;
-                    continue;
+                Some(Err(0)) => Err(null("request line is not valid UTF-8".into())),
+                Some(Err(bytes)) => Err(null(format!(
+                    "request line of {bytes} bytes exceeds the {MAX_REQUEST_BYTES}-byte limit"
+                ))),
+                Some(Ok(line)) if line.trim().is_empty() => continue,
+                Some(Ok(line)) => {
+                    requests += 1;
+                    parse_request(line.trim())
                 }
-                Some(Err(bytes)) => {
-                    let e = ProtocolError {
-                        id: "null".into(),
-                        message: format!(
-                            "request line of {bytes} bytes exceeds the {MAX_REQUEST_BYTES}-byte limit"
-                        ),
-                    };
-                    service.events().emit(
-                        EventDraft::warn("request.decode_error").field_str("message", &e.message),
-                    );
-                    write_line(writer, &error_line(&e))?;
-                    continue;
-                }
-                Some(Ok(line)) => line,
             };
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            requests += 1;
-            let req = match parse_request(line) {
+            let req = match parsed {
                 Err(e) => {
                     service.events().emit(
                         EventDraft::warn("request.decode_error").field_str("message", &e.message),
@@ -582,23 +565,13 @@ fn serve_connection<R: BufRead, W: Write + Send + 'static>(
     })
 }
 
-/// Serves requests from stdin to stdout until EOF or `shutdown`, then
-/// drains the pool, answering in request order ([`ConnMode::Serial`]).
-///
-/// # Errors
-///
-/// Transport failures on stdin/stdout only.
-pub fn serve_stdio(service: &Service) -> io::Result<()> {
-    serve_stdio_mode(service, ConnMode::Serial)
-}
-
 /// Serves requests from stdin to stdout in the given [`ConnMode`]
 /// until EOF or `shutdown`, then drains the pool.
 ///
 /// # Errors
 ///
 /// Transport failures on stdin/stdout only.
-pub fn serve_stdio_mode(service: &Service, mode: ConnMode) -> io::Result<()> {
+pub fn serve_stdio(service: &Service, mode: ConnMode) -> io::Result<()> {
     let reader = BufReader::new(io::stdin().lock());
     let writer = Arc::new(Mutex::new(io::stdout()));
     handle_connection_mode(service, reader, &writer, mode)?;
@@ -606,26 +579,17 @@ pub fn serve_stdio_mode(service: &Service, mode: ConnMode) -> io::Result<()> {
     Ok(())
 }
 
-/// Serves a unix-socket listener at `path`, one thread per connection,
-/// all connections sharing `service` (so identical jobs on different
-/// connections coalesce). A `shutdown` request on any connection stops
-/// the listener, joins every connection thread, and drains the pool.
+/// Serves a unix-socket listener at `path`, one thread per connection
+/// in the given [`ConnMode`], all connections sharing `service` (so
+/// identical jobs on different connections coalesce). A `shutdown`
+/// request on any connection stops the listener, joins every
+/// connection thread, and drains the pool.
 ///
 /// # Errors
 ///
 /// Socket bind/accept failures.
 #[cfg(unix)]
-pub fn serve_unix(service: &Arc<Service>, path: &std::path::Path) -> io::Result<()> {
-    serve_unix_mode(service, path, ConnMode::Serial)
-}
-
-/// [`serve_unix`] with an explicit per-connection [`ConnMode`].
-///
-/// # Errors
-///
-/// Socket bind/accept failures.
-#[cfg(unix)]
-pub fn serve_unix_mode(
+pub fn serve_unix(
     service: &Arc<Service>,
     path: &std::path::Path,
     mode: ConnMode,

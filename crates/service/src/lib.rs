@@ -10,7 +10,8 @@
 //! line, byte-stable result lines, structured errors for every
 //! malformed input (decoding is total — a client cannot crash the
 //! daemon). The same handler serves stdin/stdout and a unix-socket
-//! listener ([`daemon`]).
+//! listener ([`daemon`]); [`cli`] holds the command-line grammar and
+//! [`ServeConfig`], the one front-end of both daemon binaries.
 //!
 //! # Example: two identical jobs, one simulation
 //!
@@ -38,16 +39,16 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
+pub mod cli;
 pub mod daemon;
 pub mod profiles;
 pub mod protocol;
 pub mod service;
 
-pub use daemon::{
-    handle_connection, handle_connection_mode, serve_stdio, serve_stdio_mode, ConnMode,
-};
+pub use cli::ServeConfig;
 #[cfg(unix)]
-pub use daemon::{serve_unix, serve_unix_mode};
+pub use daemon::serve_unix;
+pub use daemon::{handle_connection, handle_connection_mode, serve_stdio, ConnMode};
 pub use protocol::{parse_request, ProtocolError, Request, DEFAULT_SEED, MAX_REQUEST_BYTES};
 pub use service::{
     CacheStatus, DossierKey, JobOutput, JobSpec, Service, ServiceError, ServiceStats,

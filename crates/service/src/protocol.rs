@@ -721,6 +721,13 @@ mod tests {
             (r#"{"req":"query","marker":7}"#, "must be a string"),
             (r#"{"req":"query","from_ps":9,"to_ps":3}"#, "is empty"),
             (r#"{"req":"query","path":"/x"}"#, "unknown field"),
+            (r#"{"req":"stats","id":007}"#, "malformed number"),
+            (r#"{"req":"events","since_seq":01}"#, "malformed number"),
+            (r#"{"req":"events","since_seq":1.}"#, "malformed number"),
+            (
+                r#"{"req":"characterize","profile":"test_small","seed":1.e2}"#,
+                "malformed number",
+            ),
         ];
         for (line, needle) in cases {
             let e = parse_request(line).expect_err(line);

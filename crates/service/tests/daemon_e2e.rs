@@ -8,6 +8,7 @@ use dram_telemetry::json::{self, Value};
 use dramscope_service::profiles;
 use dramscope_service::{handle_connection, CacheStatus, JobSpec, Service};
 use std::io::{BufRead, BufReader, Write};
+use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 
 /// One top-level field of a response line.
@@ -113,7 +114,9 @@ fn unix_socket_shares_the_cache_across_connections() {
     let server = {
         let service = Arc::clone(&service);
         let path = path.clone();
-        std::thread::spawn(move || dramscope_service::serve_unix(&service, &path))
+        std::thread::spawn(move || {
+            dramscope_service::serve_unix(&service, &path, dramscope_service::ConnMode::Serial)
+        })
     };
     // Wait for the listener to bind.
     let mut tries = 0;
@@ -160,4 +163,56 @@ fn unix_socket_shares_the_cache_across_connections() {
     assert!(ack.contains("\"drained\":true"), "{ack}");
     server.join().unwrap().expect("server exits cleanly");
     assert!(!path.exists(), "socket file cleaned up");
+}
+
+/// The shipped binary's front-end: `--help` prints the usage, an unknown
+/// flag is a usage error, and `--journal` writes a journal that reads
+/// back clean, with the job's lifecycle in it.
+#[test]
+fn dramscoped_binary_answers_help_refuses_unknown_flags_and_journals() {
+    let dramscoped = || Command::new(env!("CARGO_BIN_EXE_dramscoped"));
+    let out = dramscoped().arg("--help").output().expect("spawns");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("usage: dramscoped"), "{stdout}");
+    assert!(stdout.contains("--journal FILE"), "{stdout}");
+
+    let out = dramscoped().arg("--bogus").output().expect("spawns");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("dramscoped does not take '--bogus'"),
+        "{stderr}"
+    );
+
+    let journal = std::env::temp_dir().join(format!("dramscoped-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let mut child = dramscoped()
+        .args(["--workers", "1", "--serial", "--journal"])
+        .arg(&journal)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(
+            b"{\"req\":\"characterize\",\"id\":\"j\",\"profile\":\"test_small\",\"seed\":7}\n\
+              {\"req\":\"shutdown\",\"id\":\"z\"}\n",
+        )
+        .expect("requests written");
+    let out = child.wait_with_output().expect("exits");
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    std::fs::remove_file(&journal).ok();
+    let lines: Vec<_> = dram_obs::scan_journal(&text).collect();
+    assert!(lines.iter().all(Result::is_ok), "corrupt lines: {lines:?}");
+    let finished = lines
+        .iter()
+        .flatten()
+        .filter(|e| e.kind == "job.finished")
+        .count();
+    assert_eq!(finished, 1, "{text}");
 }

@@ -9,7 +9,8 @@
 //! The workspace is offline and dependency-free, so the reader is a
 //! small recursive-descent parser instead of serde. It accepts objects,
 //! arrays, strings with the common escapes (including UTF-16 surrogate
-//! pairs), numbers, booleans, null and arbitrary whitespace, and, like
+//! pairs), numbers in RFC 8259's grammar (no leading zeros, digits on
+//! both sides of a dot), booleans, null and arbitrary whitespace, and, like
 //! `dram_trace`'s decoder, it is **total**: every malformed input maps
 //! to a [`ParseError`] carrying the byte offset where reading stopped,
 //! and nesting is capped so hostile input cannot exhaust the stack.
@@ -370,17 +371,37 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads one or more digits.
+    fn digits(&mut self) -> Result<(), ParseError> {
+        let start = self.pos;
+        self.skip_digits();
+        if self.pos == start {
+            return Err(self.err("malformed number"));
+        }
+        Ok(())
+    }
+
+    /// Reads a number in RFC 8259's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: no leading
+    /// zeros, and digits on both sides of a dot.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        self.skip_digits();
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("malformed number"));
+            }
+        } else {
+            self.digits()?;
+        }
         let mut integer = true;
         if self.peek() == Some(b'.') {
             integer = false;
             self.pos += 1;
-            self.skip_digits();
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             integer = false;
@@ -388,7 +409,7 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            self.skip_digits();
+            self.digits()?;
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
@@ -449,6 +470,8 @@ mod tests {
             ("7.0", Value::F64(7.0)),
             ("-3.25", Value::F64(-3.25)),
             ("2.5E-1", Value::F64(0.25)),
+            ("0.5", Value::F64(0.5)),
+            ("0e1", Value::F64(0.0)),
             // Integer literals outside both 64-bit ranges still parse.
             ("18446744073709551616", Value::F64(2f64.powi(64))),
             ("-9223372036854775809", Value::F64(-(2f64.powi(63)))),
@@ -512,6 +535,14 @@ mod tests {
             ("1 2", "trailing data after document"),
             ("@", "unexpected character"),
             ("-", "malformed number"),
+            ("007", "malformed number"),
+            ("-01", "malformed number"),
+            ("[00]", "malformed number"),
+            ("1.", "malformed number"),
+            ("1.e2", "malformed number"),
+            ("-.5", "malformed number"),
+            ("1e", "malformed number"),
+            ("1e+", "malformed number"),
         ];
         for (input, needle) in cases {
             let err = parse("t.json", input).expect_err(input);

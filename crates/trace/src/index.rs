@@ -1,5 +1,5 @@
 //! The v2 segment index: per-segment metadata appended after a v1
-//! payload so tools can seek, prune, and decode in parallel.
+//! payload so tools can seek, prune, and decode segments independently.
 //!
 //! # Layout (index section, all multi-byte scalars little-endian)
 //!

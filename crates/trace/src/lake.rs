@@ -1,6 +1,6 @@
 //! The indexed trace container ("trace lake" storage layer): writing v2
 //! files, detecting and stripping the index footer, and decoding
-//! segments independently — including in parallel.
+//! segments independently.
 //!
 //! A v2 container is the unmodified v1 byte stream followed by an
 //! [index section](crate::index) and a fixed trailer:
@@ -25,8 +25,6 @@ use crate::index::{
     TRAILER_MAGIC,
 };
 use dram_sim::digest::fnv1a_64;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// What the tail of a trace file turned out to contain.
 #[derive(Debug)]
@@ -192,14 +190,6 @@ impl Trace {
         out.extend_from_slice(&digest.to_le_bytes());
         out.extend_from_slice(&TRAILER_MAGIC);
         out
-    }
-
-    /// Decodes a trace from either container version, decoding v2
-    /// segments concurrently on `workers` threads (`0` = one per
-    /// available core). Produces exactly what
-    /// [`Trace::from_bytes`](Self::from_bytes) produces on the payload.
-    pub fn decode_indexed_parallel(bytes: &[u8], workers: usize) -> Result<Trace, TraceError> {
-        IndexedTrace::from_bytes(bytes)?.decode_parallel(workers)
     }
 }
 
@@ -434,73 +424,18 @@ impl IndexedTrace {
         Ok(())
     }
 
-    /// Decodes every segment serially and reassembles the whole trace —
-    /// equal to [`Trace::from_bytes`] on the payload.
+    /// Decodes every segment in stream order and reassembles the whole
+    /// trace — equal to [`Trace::from_bytes`] on the payload; the first
+    /// damaged segment's error wins.
     pub fn decode_all(&self) -> Result<Trace, TraceError> {
-        self.decode_parallel(1)
-    }
-
-    /// Decodes all segments concurrently on `workers` threads (`0` =
-    /// one per available core) and reassembles the whole trace in
-    /// stream order. Equal to [`Trace::from_bytes`] on the payload;
-    /// the first (lowest-segment) error wins, deterministically.
-    pub fn decode_parallel(&self, workers: usize) -> Result<Trace, TraceError> {
-        if let Some(events) = &self.cached {
-            return Ok(Trace {
-                header: self.header.clone(),
-                events: events.clone(),
-            });
-        }
-        let decoded = self.decode_segments_parallel(workers)?;
         let mut events = Vec::with_capacity(self.event_count() as usize);
-        for segment in decoded {
-            events.extend(segment);
+        for i in 0..self.segments.len() {
+            self.for_each_event(i, |ev| events.push(ev))?;
         }
         Ok(Trace {
             header: self.header.clone(),
             events,
         })
-    }
-
-    /// Decodes every segment on a scoped worker pool, preserving
-    /// segment order in the result.
-    fn decode_segments_parallel(&self, workers: usize) -> Result<Vec<Vec<TraceEvent>>, TraceError> {
-        let count = self.segments.len();
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            workers
-        }
-        .min(count.max(1));
-        if workers <= 1 || count <= 1 {
-            return (0..count).map(|i| self.decode_segment(i)).collect();
-        }
-        // The fleet worker-pool shape: scoped threads claim segment
-        // indices from a shared counter and park results in per-slot
-        // mailboxes, so output order is independent of scheduling.
-        type Slot = Mutex<Option<Result<Vec<TraceEvent>, TraceError>>>;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Slot> = (0..count).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let result = self.decode_segment(i);
-                    *slots[i].lock().expect("segment slot poisoned") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("segment slot poisoned")
-                    .expect("every segment index was claimed")
-            })
-            .collect()
     }
 }
 
@@ -583,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_open_decodes_segments_independently_and_in_parallel() {
+    fn indexed_open_decodes_segments_independently() {
         let trace = marked_trace();
         let v2 = trace.to_bytes_indexed();
         let opened = IndexedTrace::from_bytes(&v2).expect("opens");
@@ -594,14 +529,10 @@ mod tests {
         // Segment 2 alone equals the split_at_markers slice.
         let split = trace.split_at_markers("shard:bank=");
         assert_eq!(opened.decode_segment(1).expect("decodes"), split[1].events);
-        // Parallel and serial reassembly both equal the whole decode.
-        for workers in [0, 1, 2, 7] {
-            let got = opened.decode_parallel(workers).expect("decodes");
-            assert_eq!(got, Trace::from_bytes(&trace.to_bytes()).expect("v1"));
-        }
+        // Reassembly equals the whole decode.
         assert_eq!(
-            Trace::decode_indexed_parallel(&v2, 2).expect("decodes"),
-            trace
+            opened.decode_all().expect("decodes"),
+            Trace::from_bytes(&trace.to_bytes()).expect("v1")
         );
         assert_eq!(decode_container(&v2).expect("decodes"), trace);
     }
@@ -687,6 +618,6 @@ mod tests {
         let opened = IndexedTrace::from_bytes(&v2).expect("opens");
         assert!(opened.is_indexed());
         assert_eq!(opened.segments().len(), 0);
-        assert_eq!(opened.decode_parallel(4).expect("decodes"), trace);
+        assert_eq!(opened.decode_all().expect("decodes"), trace);
     }
 }

@@ -167,15 +167,14 @@ fn golden_v2_container_wraps_the_v1_fixture_byte_identically() {
     let trace = Trace::from_bytes(v1).expect("golden trace decodes");
     assert_eq!(trace.to_bytes_indexed(), GOLDEN_V2);
 
-    // The container opens indexed and decodes (serially and in
-    // parallel) to exactly the v1 fixture's events.
+    // The container opens indexed and decodes to exactly the v1
+    // fixture's events.
     let opened = IndexedTrace::from_bytes(GOLDEN_V2).expect("golden v2 opens");
     assert!(opened.is_indexed());
     assert!(opened.fallback().is_none());
     assert_eq!(opened.event_count(), trace.events.len() as u64);
     assert!(opened.segments().len() > 10, "{}", opened.segments().len());
     assert_eq!(opened.decode_all().expect("decodes"), trace);
-    assert_eq!(opened.decode_parallel(0).expect("decodes"), trace);
     // Segment 0 is the structure phase and dominates the stream.
     assert_eq!(opened.segments()[0].label, "phase:structure");
     assert!(opened.segments()[0].events > 50_000);
