@@ -10,6 +10,7 @@ use dram_module::Dimm;
 use dram_sim::{ChipProfile, DramChip, Time};
 use dram_testbed::Testbed;
 use dramscope_core::fleet;
+use dramscope_core::hammer;
 use dramscope_core::hammer::Attack;
 use dramscope_core::mapping;
 use dramscope_core::observations::ObservationSuite;
@@ -20,7 +21,6 @@ use dramscope_core::patterns::{
 use dramscope_core::protect::{self, AttackStrategy, MisraGries, RowSwapDefense, Scrambler};
 use dramscope_core::report::{Series, Table};
 use dramscope_core::rowcopy_probe;
-use dramscope_core::{hammer, swizzle_re};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt::Write as _;
@@ -1122,14 +1122,6 @@ pub fn quick_structural_kernel() -> Result<usize, Box<dyn Error>> {
     let mut tb = Testbed::new(DramChip::new(ChipProfile::test_small(), SEED));
     let heights = rowcopy_probe::subarray_heights(&mut tb, 0, 0..129)?;
     Ok(heights.len())
-}
-
-/// A fast swizzle-influence kernel used by the smoke tests.
-pub fn quick_influence_kernel() -> Result<usize, Box<dyn Error>> {
-    let mut tb = Testbed::new(DramChip::new(ChipProfile::test_small(), SEED));
-    let setup =
-        swizzle_re::ProbeSetup::from_ranges(0, &[(65, 80)], Attack::Hammer { count: 2_600_000 });
-    Ok(swizzle_re::influence_edges(&mut tb, &setup)?.len())
 }
 
 /// A fast pattern-image kernel used by the smoke tests.

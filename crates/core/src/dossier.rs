@@ -17,9 +17,10 @@ use crate::remap_re::{self, RemapVerdict};
 use crate::retention_probe::{self, PolarityVerdict};
 use crate::rowcopy_probe;
 use crate::trr_re::{self, TrrVerdict};
-use dram_sim::{ChipProfile, ChipStats, CommandSink, DramChip, SharedMetrics, Tee, Time};
+use dram_sim::{ChipProfile, ChipStats, CommandSink, DramChip, MetricsSink, Tee, Time};
 use dram_telemetry::Registry;
 use dram_testbed::Testbed;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
@@ -249,10 +250,10 @@ pub fn characterize(
 }
 
 /// [`characterize`] plus per-phase [`RunStats`] and telemetry: runs with
-/// a [`MetricsSink`](dram_sim::MetricsSink) teed onto the primary probe
-/// testbed and additionally returns the finished metrics [`Registry`]
-/// (command mix, per-bank counters, row-cycle histograms, phase/span
-/// accounting — see `dram_sim::metrics` for the schema).
+/// a [`MetricsSink`] teed onto the primary probe testbed and additionally
+/// returns the finished metrics [`Registry`] (command mix, per-bank
+/// counters, row-cycle histograms, phase/span accounting — see
+/// `dram_sim::metrics` for the schema).
 ///
 /// With an external sink, every command the primary testbed issues is
 /// observable — a recorder captures the run into a replayable trace, a
@@ -350,11 +351,13 @@ impl<'a> Task<'a> {
             )
             .into());
         }
-        let shared = metrics.then(SharedMetrics::new);
-        let sink: Option<Box<dyn CommandSink + Send>> = match (sink, &shared) {
-            (Some(external), Some(m)) => Some(Box::new(Tee::new(external, m.clone()))),
-            (None, Some(m)) => Some(Box::new(m.clone())),
-            (external, None) => external,
+        // The metrics sink rides the chip by value and comes back through
+        // `clear_sink` when the flow ends: no shared handle, no lock per
+        // event.
+        let sink: Option<Box<dyn CommandSink + Send>> = match (sink, metrics) {
+            (Some(external), true) => Some(Box::new(Tee::new(external, MetricsSink::new()))),
+            (None, true) => Some(Box::new(MetricsSink::new())),
+            (external, false) => external,
         };
         let mut tb = Testbed::new(DramChip::new(profile.clone(), seed));
         if let Some(sink) = sink {
@@ -451,8 +454,25 @@ impl<'a> Task<'a> {
             trr,
             on_die_ecc,
         };
-        let registry = shared.map_or_else(Registry::new, |m| m.take_registry());
+        let registry = match tb.clear_sink() {
+            Some(sink) if metrics => take_metrics(sink).into_registry(),
+            _ => Registry::new(),
+        };
         Ok((dossier, stats, registry))
+    }
+}
+
+/// The [`MetricsSink`] [`Task::run`] attached, back from the testbed:
+/// bare, or as the second half of a [`Tee`] behind an external sink.
+fn take_metrics(sink: Box<dyn CommandSink + Send>) -> MetricsSink {
+    let sink: Box<dyn Any + Send> = sink;
+    match sink.downcast::<MetricsSink>() {
+        Ok(metrics) => *metrics,
+        Err(sink) => {
+            sink.downcast::<Tee<Box<dyn CommandSink + Send>, MetricsSink>>()
+                .expect("the primary testbed keeps the sink Task::run attached")
+                .second
+        }
     }
 }
 

@@ -68,7 +68,7 @@ struct ProgressSink<W: Write> {
     id: String,
 }
 
-impl<W: Write> CommandSink for ProgressSink<W> {
+impl<W: Write + 'static> CommandSink for ProgressSink<W> {
     fn record(&mut self, event: ChipEvent<'_>) {
         let ChipEvent::Marker { label } = event else {
             return;

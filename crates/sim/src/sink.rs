@@ -16,6 +16,7 @@
 
 use crate::chip::{Command, CommandError};
 use crate::time::Time;
+use std::any::Any;
 use std::fmt;
 
 /// The result of one chip entry-point invocation, as seen by a sink.
@@ -115,7 +116,13 @@ pub enum ChipEvent<'a> {
 ///
 /// Implementations must not assume only successful commands arrive; see
 /// the [module docs](self).
-pub trait CommandSink {
+///
+/// The `Any` supertrait lets an owner take its sink back by value: the
+/// box [`DramChip::clear_sink`](crate::DramChip::clear_sink) returns
+/// upcasts to `Box<dyn Any + Send>` and downcasts to the concrete type,
+/// so a run that attached its own sink needs no shared handle (and no
+/// lock per event) to read it afterwards.
+pub trait CommandSink: Any {
     /// Called once per chip entry-point invocation, after execution.
     fn record(&mut self, event: ChipEvent<'_>);
 }

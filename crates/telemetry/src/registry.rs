@@ -120,6 +120,12 @@ impl Registry {
         self.histograms.entry(key).or_default().record(value);
     }
 
+    /// Adds every observation of `hist` into the histogram at `key`
+    /// (creating it), bucket by bucket.
+    pub fn merge_histogram(&mut self, key: Key, hist: &Histogram) {
+        self.histograms.entry(key).or_default().merge(hist);
+    }
+
     /// Reads a histogram, if any observation has been recorded.
     pub fn histogram(&self, key: &Key) -> Option<&Histogram> {
         self.histograms.get(key)
@@ -163,7 +169,7 @@ impl Registry {
             self.set_gauge(k.clone(), v);
         }
         for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+            self.merge_histogram(k.clone(), h);
         }
     }
 

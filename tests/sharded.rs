@@ -99,6 +99,22 @@ fn sharded_trace_bytes_do_not_depend_on_shard_count() {
     }
 }
 
+/// Per-bank metrics beyond bank 0, pinned against a fixed snapshot:
+/// `tests/golden/test_small_hbm2.sharded.metrics.json` is the output of
+/// `characterize sharded test_small_hbm2 --quiet --metrics FILE` (the
+/// CLI's `named_job` options and default seed; `--serial` writes the
+/// same bytes), covering all four banks of the HBM2 test profile.
+#[test]
+fn sharded_hbm2_metrics_match_the_golden_snapshot() {
+    let (profile, opts) = dramscope::service::profiles::named_job("test_small_hbm2").unwrap();
+    let report = shard::characterize_sharded_serial(&profile, 0x5ca1e, opts);
+    assert!(report.all_ok(), "{}", report.table());
+    assert_eq!(
+        report.merged_metrics().to_json_lines(),
+        include_str!("golden/test_small_hbm2.sharded.metrics.json")
+    );
+}
+
 /// The two-level fleet scheduler obeys the same contract: flattening
 /// `(profile, bank)` tasks onto one shared pool regroups into exactly
 /// the per-device serial sharded reference.
