@@ -481,19 +481,19 @@ fn encode_error(out: &mut Vec<u8>, e: &CommandError) {
     }
 }
 
+/// Decodes one event, the only parser of event bytes. Inlined into the
+/// two loops that call it, [`Trace::from_bytes`] and
+/// `IndexedTrace::for_each_event`, so each event is built in place
+/// rather than returned through memory.
+#[inline(always)]
 pub(crate) fn decode_event(
     r: &mut Reader<'_>,
     prev_ps: &mut u64,
 ) -> Result<TraceEvent, TraceError> {
     let opcode = r.u8()?;
-    let mut delta = |r: &mut Reader<'_>| -> Result<Time, TraceError> {
-        let dt = r.svarint()?;
-        *prev_ps = prev_ps.wrapping_add(dt as u64);
-        Ok(Time::from_ps(*prev_ps))
-    };
     let ev = match opcode {
         OP_ACT => {
-            let at = delta(r)?;
+            let at = r.timestamp(prev_ps)?;
             let bank = r.varint_u32()?;
             let row = r.varint_u32()?;
             let outcome = decode_outcome(r)?;
@@ -504,7 +504,7 @@ pub(crate) fn decode_event(
             }
         }
         OP_PRE => {
-            let at = delta(r)?;
+            let at = r.timestamp(prev_ps)?;
             let bank = r.varint_u32()?;
             let outcome = decode_outcome(r)?;
             TraceEvent::Command {
@@ -514,7 +514,7 @@ pub(crate) fn decode_event(
             }
         }
         OP_RD => {
-            let at = delta(r)?;
+            let at = r.timestamp(prev_ps)?;
             let bank = r.varint_u32()?;
             let col = r.varint_u32()?;
             let outcome = decode_outcome(r)?;
@@ -525,7 +525,7 @@ pub(crate) fn decode_event(
             }
         }
         OP_WR => {
-            let at = delta(r)?;
+            let at = r.timestamp(prev_ps)?;
             let bank = r.varint_u32()?;
             let col = r.varint_u32()?;
             let data = r.varint()?;
@@ -537,7 +537,7 @@ pub(crate) fn decode_event(
             }
         }
         OP_REF => {
-            let at = delta(r)?;
+            let at = r.timestamp(prev_ps)?;
             let outcome = decode_outcome(r)?;
             TraceEvent::Command {
                 cmd: Command::Refresh,
@@ -546,7 +546,7 @@ pub(crate) fn decode_event(
             }
         }
         OP_RFM => {
-            let at = delta(r)?;
+            let at = r.timestamp(prev_ps)?;
             let bank = r.varint_u32()?;
             let outcome = decode_outcome(r)?;
             TraceEvent::Command {
@@ -556,7 +556,7 @@ pub(crate) fn decode_event(
             }
         }
         OP_BURST => {
-            let at = delta(r)?;
+            let at = r.timestamp(prev_ps)?;
             let bank = r.varint_u32()?;
             let row = r.varint_u32()?;
             let count = r.varint()?;
@@ -572,7 +572,7 @@ pub(crate) fn decode_event(
             }
         }
         OP_REFW => {
-            let at = delta(r)?;
+            let at = r.timestamp(prev_ps)?;
             let outcome = decode_outcome(r)?;
             TraceEvent::RefreshWindow { at, outcome }
         }
@@ -593,6 +593,7 @@ pub(crate) fn decode_event(
     Ok(ev)
 }
 
+#[inline(always)]
 fn decode_outcome(r: &mut Reader<'_>) -> Result<CommandOutcome, TraceError> {
     match r.u8()? {
         OUT_ACCEPTED => Ok(CommandOutcome::Accepted),
@@ -663,6 +664,7 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    #[cold]
     pub(crate) fn truncated(&self) -> TraceError {
         match self.event {
             None => TraceError::TruncatedHeader { offset: self.pos },
@@ -673,6 +675,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[cold]
     pub(crate) fn corrupt(&self, what: &'static str) -> TraceError {
         TraceError::Corrupt {
             offset: self.pos,
@@ -693,8 +696,11 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    #[inline(always)]
     pub(crate) fn u8(&mut self) -> Result<u8, TraceError> {
-        Ok(self.take(1)?[0])
+        let byte = *self.buf.get(self.pos).ok_or_else(|| self.truncated())?;
+        self.pos += 1;
+        Ok(byte)
     }
 
     pub(crate) fn u16_le(&mut self) -> Result<u16, TraceError> {
@@ -709,17 +715,29 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(raw))
     }
 
+    #[inline(always)]
     pub(crate) fn varint(&mut self) -> Result<u64, TraceError> {
-        varint::decode_u64(self.buf, &mut self.pos).map_err(|fault| match fault {
+        varint::decode_u64(self.buf, &mut self.pos).map_err(|fault| self.varint_fault(fault))
+    }
+
+    #[cold]
+    fn varint_fault(&self, fault: VarintFault) -> TraceError {
+        match fault {
             VarintFault::Truncated => self.truncated(),
             VarintFault::Overflow => self.corrupt("varint overflows u64"),
-        })
+        }
     }
 
-    pub(crate) fn svarint(&mut self) -> Result<i64, TraceError> {
-        self.varint().map(varint::unzigzag)
+    /// Reads a timed event's zigzag delta and applies it to `prev_ps`,
+    /// the previous timed event's timestamp.
+    #[inline(always)]
+    pub(crate) fn timestamp(&mut self, prev_ps: &mut u64) -> Result<Time, TraceError> {
+        let dt = varint::unzigzag(self.varint()?);
+        *prev_ps = prev_ps.wrapping_add(dt as u64);
+        Ok(Time::from_ps(*prev_ps))
     }
 
+    #[inline(always)]
     pub(crate) fn varint_u32(&mut self) -> Result<u32, TraceError> {
         let v = self.varint()?;
         u32::try_from(v).map_err(|_| self.corrupt("varint exceeds u32 field"))

@@ -7,23 +7,43 @@
 //! what `characterize stats <trace>` uses, and the invariant
 //! (trace-derived metrics == live metrics) is pinned by the golden-trace
 //! tests.
+//!
+//! A bank-sharded recording is the concatenation of per-bank streams,
+//! each opened by a [`SHARD_MARKER_PREFIX`] marker and each with a clock
+//! that starts over. The live run gave every bank its own sink and merged
+//! the registries in bank order, so the trace is folded the same way:
+//! one sink per shard segment, merged in stream order (the bank order a
+//! sharded recording writes). The invariant holds for sharded traces
+//! too, pinned against the 4-bank fixture by `tests/sharded.rs`.
 
 use dram_sim::{CommandSink, MetricsSink};
 use dram_telemetry::Registry;
 
+use crate::event::TraceEvent;
 use crate::format::Trace;
+use crate::index::SHARD_MARKER_PREFIX;
 
 /// Folds every event of a recorded trace into a fresh metrics registry.
 ///
-/// The result is byte-for-byte the registry a [`MetricsSink`] attached
-/// during the original run would have returned, because both consume the
-/// identical event stream.
+/// The result is byte-for-byte the registry the [`MetricsSink`]s attached
+/// during the original run would have returned, because they consume the
+/// identical event streams: a trace without shard markers goes through
+/// one sink, and each `shard:bank=` segment through a sink of its own.
 pub fn trace_metrics(trace: &Trace) -> Registry {
+    let mut shards = Vec::new();
     let mut sink = MetricsSink::new();
-    for event in &trace.events {
+    for (i, event) in trace.events.iter().enumerate() {
+        let opens_shard = matches!(
+            event,
+            TraceEvent::Marker { label } if label.starts_with(SHARD_MARKER_PREFIX)
+        );
+        if opens_shard && i > 0 {
+            shards.push(std::mem::take(&mut sink).into_registry());
+        }
         sink.record(event.to_chip());
     }
-    sink.into_registry()
+    shards.push(sink.into_registry());
+    Registry::merged(&shards)
 }
 
 #[cfg(test)]

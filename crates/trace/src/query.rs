@@ -116,6 +116,7 @@ impl<'q> Matcher<'q> {
 
     /// Whether `ev`, counted under op slot `op`, satisfies every
     /// per-event predicate.
+    #[inline]
     fn matches(&self, ev: &TraceEvent, op: usize) -> bool {
         let q = self.query;
         if q.from_ps.is_some() || q.to_ps.is_some() {

@@ -43,7 +43,46 @@ pub fn unzigzag(u: u64) -> i64 {
 }
 
 /// Decodes one LEB128 varint starting at `*pos`, advancing `*pos` past it.
+///
+/// A one-byte value (most deltas, banks and rows) returns at once, and
+/// with ten bytes in hand a longer varint decodes under a single bounds
+/// check; only a varint starting within ten bytes of the buffer's end
+/// goes byte by byte. Every path leaves `*pos` where the byte-at-a-time
+/// reading stops: past the tenth byte on
+/// [`Overflow`](VarintFault::Overflow), at the end of the buffer on
+/// [`Truncated`](VarintFault::Truncated). Inlined into every event field
+/// read, so the event loops carry no call per varint.
+#[inline(always)]
 pub(crate) fn decode_u64(buf: &[u8], pos: &mut usize) -> Result<u64, VarintFault> {
+    let start = *pos;
+    if let Some(&byte) = buf.get(start) {
+        if byte & 0x80 == 0 {
+            *pos = start + 1;
+            return Ok(u64::from(byte));
+        }
+    }
+    let Some(bytes) = buf.get(start..).and_then(<[u8]>::first_chunk::<10>) else {
+        return decode_u64_bytewise(buf, pos);
+    };
+    let mut v: u64 = 0;
+    for (i, &byte) in bytes.iter().enumerate() {
+        v |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            // The 10th byte may only carry the single remaining bit.
+            if i == 9 && byte > 1 {
+                break;
+            }
+            *pos = start + i + 1;
+            return Ok(v);
+        }
+    }
+    *pos = start + 10;
+    Err(VarintFault::Overflow)
+}
+
+/// The byte-at-a-time decode [`decode_u64`] falls back on near the end
+/// of a buffer, where every byte needs its own bounds check.
+fn decode_u64_bytewise(buf: &[u8], pos: &mut usize) -> Result<u64, VarintFault> {
     let mut v: u64 = 0;
     for shift_step in 0..10u32 {
         let byte = *buf.get(*pos).ok_or(VarintFault::Truncated)?;
@@ -123,5 +162,96 @@ mod tests {
         bytes.push(0x02);
         let mut pos = 0;
         assert_eq!(decode_u64(&bytes, &mut pos), Err(VarintFault::Overflow));
+    }
+
+    /// The reference decoder: one byte and one bounds check at a time.
+    /// Every path of [`decode_u64`] must agree with it on the result and
+    /// on the end position.
+    fn reference_decode(buf: &[u8], pos: &mut usize) -> Result<u64, VarintFault> {
+        let mut v: u64 = 0;
+        for shift_step in 0..10u32 {
+            let byte = *buf.get(*pos).ok_or(VarintFault::Truncated)?;
+            *pos += 1;
+            let payload = (byte & 0x7f) as u64;
+            let shift = shift_step * 7;
+            if shift == 63 && payload > 1 {
+                return Err(VarintFault::Overflow);
+            }
+            v |= payload << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(VarintFault::Overflow)
+    }
+
+    /// Byte strings that reach every branch of the decoder: each 7-bit
+    /// boundary value and its neighbours, continuation runs of every
+    /// length ended by each interesting last byte (10th-byte payloads 0,
+    /// 1 and 2 among them), plus random bytes, each with every prefix so
+    /// truncation is covered too.
+    fn edge_buffers() -> Vec<Vec<u8>> {
+        let mut whole: Vec<Vec<u8>> = Vec::new();
+        for bits in 0..64u32 {
+            let edge = 1u64 << bits;
+            for v in [edge - 1, edge, edge + 1, u64::MAX >> bits] {
+                let mut buf = Vec::new();
+                encode_u64(&mut buf, v);
+                whole.push(buf);
+            }
+        }
+        for run in 0..=11usize {
+            for last in [0x00u8, 0x01, 0x02, 0x03, 0x7f, 0x80, 0x81, 0x82, 0xff] {
+                let mut buf = vec![0x80u8; run];
+                buf.push(last);
+                whole.push(buf.clone());
+                buf.fill(0xff);
+                buf[run] = last;
+                whole.push(buf);
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in 0..=11usize {
+            for _ in 0..64 {
+                let buf = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        // Mostly continuation bytes, so long runs occur.
+                        (state as u8) | if state & 0x300 != 0 { 0x80 } else { 0 }
+                    })
+                    .collect();
+                whole.push(buf);
+            }
+        }
+        let mut out = Vec::new();
+        for buf in whole {
+            for len in 0..=buf.len() {
+                out.push(buf[..len].to_vec());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fast_paths_agree_with_the_bytewise_reference_everywhere() {
+        let mut checked = 0usize;
+        for buf in edge_buffers() {
+            assert!(buf.len() <= 12);
+            // Start at every offset, and once past the end.
+            for start in 0..=buf.len() + 1 {
+                let (mut got_pos, mut want_pos) = (start, start);
+                let got = decode_u64(&buf, &mut got_pos);
+                let want = reference_decode(&buf, &mut want_pos);
+                assert_eq!(
+                    (got, got_pos),
+                    (want, want_pos),
+                    "bytes {buf:02x?} from {start}"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 45_960, "the whole case set ran");
     }
 }

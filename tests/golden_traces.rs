@@ -13,8 +13,13 @@ use dramscope::core::Table;
 use dramscope::core::{
     record_characterization_instrumented, replay_benchmark, replay_characterization_instrumented,
 };
+use dramscope::sim::digest::fnv1a_64;
 use dramscope::sim::{ChipProfile, Time};
-use dramscope::trace::{replay_on_chip, trace_metrics, IndexedTrace, Trace, TraceError};
+use dramscope::trace::index::TRAILER_MAGIC;
+use dramscope::trace::{
+    query_bytes, replay_on_chip, split_container, trace_metrics, Container, IndexedTrace, Query,
+    Trace, TraceError,
+};
 
 /// The golden fixtures: three profiles with three distinct vendors,
 /// geometries, and hidden configurations.
@@ -178,6 +183,152 @@ fn golden_v2_container_wraps_the_v1_fixture_byte_identically() {
     // Segment 0 is the structure phase and dominates the stream.
     assert_eq!(opened.segments()[0].label, "phase:structure");
     assert!(opened.segments()[0].events > 50_000);
+}
+
+/// `GOLDEN_V2` with `payload` in place of its v1 payload, where only
+/// segment `seg` differs from the fixture and is `cut` bytes shorter:
+/// the index moves the later segments and vouches for the damaged one
+/// with a fresh digest, so the container opens and the damage is left
+/// for the segment decoder to find.
+fn redigested(payload: &[u8], seg: usize, cut: u64) -> Vec<u8> {
+    let Container::V2 { mut index, .. } = split_container(GOLDEN_V2) else {
+        panic!("golden v2 has an index");
+    };
+    index.segments[seg].len -= cut;
+    for later in &mut index.segments[seg + 1..] {
+        later.offset -= cut;
+    }
+    let damaged = &mut index.segments[seg];
+    let start = damaged.offset as usize;
+    damaged.digest = fnv1a_64(&payload[start..start + damaged.len as usize]);
+    let section = index.to_bytes();
+    let mut out = payload.to_vec();
+    out.extend_from_slice(&section);
+    out.extend_from_slice(&(section.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv1a_64(&section).to_le_bytes());
+    out.extend_from_slice(&TRAILER_MAGIC);
+    out
+}
+
+/// The three ways a sampled byte at `at` is damaged: all bits flipped,
+/// the continuation bit alone flipped, and a run of eleven continuation
+/// bytes (clamped to `end`), which overflows any varint read into it.
+fn damaged(bytes: &[u8], at: usize, end: usize) -> [Vec<u8>; 3] {
+    let flipped = |mask: u8| {
+        let mut out = bytes.to_vec();
+        out[at] ^= mask;
+        out
+    };
+    let mut run = bytes.to_vec();
+    run[at..end.min(at + 11)].fill(0x80);
+    [flipped(0xff), flipped(0x80), run]
+}
+
+/// Every way the two event loops refuse damaged golden bytes, pinned
+/// exactly. The totality test above checks only error kinds; here the
+/// `Debug` text of each sampled case's result (error variant, offset,
+/// event index and reason, or the event count of a damaged input that
+/// still decodes) folds into one FNV-1a digest, so a decode path that
+/// moves an error by one byte fails. Cases: truncations and damaged
+/// bytes of the v1 fixture through `Trace::from_bytes`, and of the v2
+/// fixture's segments, re-digested so the index still vouches for them,
+/// through the segment loop. The digest was recorded with the
+/// byte-at-a-time decoder.
+#[test]
+fn golden_decode_errors_keep_their_exact_offsets() {
+    let v1 = GOLDEN[0].1;
+    let mut text = String::new();
+    let mut cases = 0usize;
+    let mut fold = |line: String| {
+        text.push_str(&line);
+        text.push('\n');
+        cases += 1;
+    };
+    let whole = |bytes: &[u8]| format!("{:?}", Trace::from_bytes(bytes).map(|t| t.events.len()));
+    // v1: every early header boundary, then sampled prefixes and
+    // damaged bytes.
+    for len in (0..64).chain((64..v1.len()).step_by(PREFIX_STEP)) {
+        fold(whole(&v1[..len]));
+    }
+    for at in (0..v1.len()).step_by(FLIP_STEP) {
+        for mutated in damaged(v1, at, v1.len()) {
+            fold(whole(&mutated));
+        }
+    }
+    // v2: per segment, a cut and each damage at sampled bytes, decoded
+    // by the segment loop alone.
+    let opened = IndexedTrace::from_bytes(GOLDEN_V2).expect("golden v2 opens");
+    let segment = |bytes: &[u8], seg: usize| {
+        format!(
+            "{seg} {:?}",
+            IndexedTrace::from_bytes(bytes)
+                .and_then(|t| t.decode_segment(seg))
+                .map(|events| events.len())
+        )
+    };
+    for (seg, meta) in opened.segments().iter().enumerate() {
+        let (start, len) = (meta.offset as usize, meta.len as usize);
+        let step = (len / SEGMENT_SAMPLES).max(1);
+        for at in (start..start + len).step_by(step) {
+            let cut = (start + len - at) as u64;
+            let mut payload = v1[..at].to_vec();
+            payload.extend_from_slice(&v1[start + len..]);
+            fold(segment(&redigested(&payload, seg, cut), seg));
+            for payload in damaged(v1, at, start + len) {
+                fold(segment(&redigested(&payload, seg, 0), seg));
+            }
+        }
+    }
+    assert_eq!(
+        (cases, fnv1a_64(text.as_bytes())),
+        (DECODE_CASES, DECODE_DIGEST),
+        "first lines:\n{}",
+        text.lines().take(8).collect::<Vec<_>>().join("\n")
+    );
+}
+
+/// Sampling of [`golden_decode_errors_keep_their_exact_offsets`], and
+/// the case count and digest it must reproduce.
+const PREFIX_STEP: usize = 4_099;
+const FLIP_STEP: usize = 4_099;
+const SEGMENT_SAMPLES: usize = 12;
+const DECODE_CASES: usize = 1_340;
+const DECODE_DIGEST: u64 = 0x3a72_eba3_4ec1_88df;
+
+/// Query reports over the golden v2 container, as `to_json` rendered
+/// them on the byte-at-a-time decoder: the three predicates of the
+/// benchmark's query workload (bank 2 `ACT`s, the `span:attack_scan`
+/// marker, a full scan) and a time window on bank 0 that cuts the
+/// structure phase in two.
+#[test]
+fn golden_query_reports_are_pinned() {
+    let queries = [
+        Query {
+            banks: Some(vec![2]),
+            mnemonics: Some(vec!["act".into()]),
+            ..Query::default()
+        },
+        Query {
+            marker_prefix: Some("span:attack_scan".into()),
+            ..Query::default()
+        },
+        Query {
+            min_count: Some(0),
+            ..Query::default()
+        },
+        Query {
+            from_ps: Some(500_000_000),
+            to_ps: Some(972_100_000),
+            banks: Some(vec![0]),
+            ..Query::default()
+        },
+    ];
+    let pinned = include_str!("golden/test_small.v2.query.json");
+    assert_eq!(pinned.lines().count(), queries.len());
+    for (query, want) in queries.iter().zip(pinned.lines()) {
+        let report = query_bytes("test_small.v2.trace", GOLDEN_V2, query).expect("queries");
+        assert_eq!(report.to_json(), want, "{query:?}");
+    }
 }
 
 #[test]

@@ -115,6 +115,27 @@ fn sharded_hbm2_metrics_match_the_golden_snapshot() {
     );
 }
 
+/// `characterize stats` on a sharded recording derives the same 4-bank
+/// snapshot from the trace alone: each `shard:bank=` segment is folded
+/// through its own sink, as the live run's banks were, so no bank's
+/// clock runs on from the one before it. Recorded at the fixture's seed
+/// (0x5ca1e) and options, then read back from the v2 bytes the CLI
+/// writes.
+#[test]
+fn sharded_trace_metrics_match_the_golden_snapshot() {
+    let (profile, opts) = dramscope::service::profiles::named_job("test_small_hbm2").unwrap();
+    let (_, trace, live) =
+        trace_run::record_characterization_sharded(&profile, 0x5ca1e, opts, ShardConfig::default())
+            .unwrap();
+    let golden = include_str!("golden/test_small_hbm2.sharded.metrics.json");
+    assert_eq!(live.to_json_lines(), golden);
+    let decoded = dramscope::trace::decode_container(&trace.to_bytes_indexed()).unwrap();
+    assert_eq!(
+        dramscope::trace::trace_metrics(&decoded).to_json_lines(),
+        golden
+    );
+}
+
 /// The two-level fleet scheduler obeys the same contract: flattening
 /// `(profile, bank)` tasks onto one shared pool regroups into exactly
 /// the per-device serial sharded reference.
