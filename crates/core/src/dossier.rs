@@ -433,7 +433,7 @@ impl<'a> Task<'a> {
         if victims.is_empty() {
             return Err("no victims found for the aggressor probe row".into());
         }
-        let mut fresh = || Testbed::new(DramChip::new(profile.clone(), seed));
+        let mut fresh = || Testbed::new(tb.chip().fresh());
         let trr = trr_re::detect_trr(&mut fresh, bank, aggressor, &victims, 400_000, 12)?;
         let on_die_ecc =
             ecc_probe::detect_on_die_ecc(&mut fresh, bank, aggressor, victims[0], 8_000_000)?;

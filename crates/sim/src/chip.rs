@@ -25,8 +25,12 @@
 //! path does no tree lookups and no allocation; two provably
 //! conservative pre-filters (a cached retention-negligibility horizon
 //! and a cubic disturbance-dose bound) skip the expensive `powf`/CDF
-//! evaluations whenever no cell could plausibly flip. See
-//! `DESIGN.md` § "Flat bank state" for the identity argument.
+//! evaluations whenever no cell could plausibly flip. A settle that does
+//! run the per-cell pass computes each aggressor's flip probabilities
+//! once per distinct [`FlipContext`] (a per-aggressor, per-settle memo),
+//! and every chip of one silicon shares its static tables through
+//! `Arc`s ([`DramChip::fresh`]). See `DESIGN.md` § "Flat bank state" for
+//! the identity argument.
 //!
 //! # Loop acceleration
 //!
@@ -36,7 +40,7 @@
 //! attacks in O(1); it performs exactly the same state updates a command
 //! loop would.
 
-use crate::cell::{gate_type, AggressorDir, CellPolarity};
+use crate::cell::{gate_type, AggressorDir, CellPolarity, GateType};
 use crate::disturb::{FlipContext, Mechanism};
 use crate::geometry::{BankGeometry, Bitline, LogicalRow, Wordline};
 use crate::layout::{BankLayout, CopyRelation};
@@ -50,6 +54,7 @@ use crate::swizzle::SwizzleMap;
 use crate::time::{Time, TimingParams};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Hash-stream tags so each physical phenomenon draws independent
 /// variates. RowHammer and RowPress use *separate* streams: their failure
@@ -80,6 +85,16 @@ const MAX_AGGRESSORS: usize = 4;
 /// Sentinel in [`WlStatic::companion`] for "no tandem companion". Valid
 /// wordline indices are bounded by the bank geometry, far below this.
 const NO_COMPANION: u32 = u32::MAX;
+
+/// Die temperature of a chip at power-on, °C.
+const POWER_ON_C: f64 = 75.0;
+
+/// Upper bound on a [`FlipMemo`]'s slot count. One aggressor's contexts
+/// in one settle take fewer than 4096 distinct keys whatever the row
+/// width (gate, victim data, four victim-neighbour and five aggressor
+/// cells, plus the MAT-edge `None` patterns), so the table stays at most
+/// half full.
+const MEMO_MAX_SLOTS: usize = 8192;
 
 /// Widens a wordline index for dense-table addressing; `u32 → usize`
 /// cannot truncate on any supported target (usize is ≥ 32 bits).
@@ -440,6 +455,132 @@ fn build_wl_static(layout: &BankLayout, profile: &ChipProfile, wls: u32) -> Vec<
         .collect()
 }
 
+/// One aggressor of a settle's per-cell pass: its direction, doses and
+/// row data, which stay fixed across the victim's cells.
+struct SettleAggressor {
+    dir: AggressorDir,
+    /// [`FlipContext::dose_scale`] of every context this aggressor forms.
+    dose_scale: f64,
+    /// RowHammer dose: activations, companion activations scaled.
+    dose_h: f64,
+    /// RowPress dose: on-time in ns, companion on-time scaled.
+    dose_p: f64,
+    bits: RowBits,
+    memo: FlipMemo,
+}
+
+/// `(p_hammer, p_press)` per distinct [`FlipContext`] of one aggressor in
+/// one settle. The probabilities also depend on the aggressor's doses and
+/// `dose_scale`, which are fixed within that scope and nowhere else, so a
+/// memo is never shared across aggressors or settles. A miss runs the
+/// model's own functions in their usual order, so every cached value is
+/// bit-for-bit the value the uncached pass computes.
+struct FlipMemo {
+    /// Open-addressing table: 0 is empty, `i + 1` points at `entries[i]`.
+    slots: Vec<u32>,
+    /// Right shift that turns a multiplicative hash into a slot index.
+    shift: u32,
+    /// `(key, p_hammer, p_press)` in insertion order.
+    entries: Vec<(u32, f64, f64)>,
+}
+
+impl FlipMemo {
+    /// An empty memo for a settle over `cells` victim cells: twice as
+    /// many slots as the settle can have distinct keys (capped at
+    /// [`MEMO_MAX_SLOTS`], above twice what any settle reaches).
+    fn new(cells: u32) -> FlipMemo {
+        let slots = (2 * wi(cells))
+            .next_power_of_two()
+            .clamp(16, MEMO_MAX_SLOTS);
+        FlipMemo {
+            slots: vec![0; slots],
+            shift: u32::BITS - slots.trailing_zeros(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// A packed image of every context field except `dose_scale`: one
+    /// bit each for the flags, two bits (`None`, `Some(false)`,
+    /// `Some(true)`) per horizontal neighbour — 23 bits in all. The
+    /// destructuring is exhaustive, so a field added to [`FlipContext`]
+    /// fails to compile here until the key covers it.
+    fn key(ctx: &FlipContext) -> u32 {
+        let FlipContext {
+            gate,
+            charged,
+            vic_data,
+            vic_neighbor_differs,
+            aggr_same,
+            edge,
+            aggr0_data,
+            dose_scale: _,
+        } = *ctx;
+        let mut key = u32::from(gate == GateType::Passing)
+            | u32::from(charged) << 1
+            | u32::from(vic_data) << 2
+            | u32::from(edge) << 3
+            | u32::from(aggr0_data) << 4;
+        for (i, cell) in vic_neighbor_differs
+            .into_iter()
+            .chain(aggr_same)
+            .enumerate()
+        {
+            let code = match cell {
+                None => 0,
+                Some(false) => 1,
+                Some(true) => 2,
+            };
+            key |= code << (5 + 2 * i);
+        }
+        key
+    }
+
+    /// The memoized probabilities for `ctx`, running `compute` on a
+    /// miss. A table already half full answers the miss without
+    /// inserting, so probing always ends at an empty slot.
+    fn get_or_insert_with(
+        &mut self,
+        ctx: &FlipContext,
+        compute: impl FnOnce() -> (f64, f64),
+    ) -> (f64, f64) {
+        let key = FlipMemo::key(ctx);
+        let mask = self.slots.len() - 1;
+        let mut slot = (key.wrapping_mul(0x9E37_79B1) >> self.shift) as usize;
+        while let Some(entry) = self.slots[slot].checked_sub(1) {
+            let (k, p_h, p_p) = self.entries[entry as usize];
+            if k == key {
+                return (p_h, p_p);
+            }
+            slot = (slot + 1) & mask;
+        }
+        let probs = compute();
+        if 2 * (self.entries.len() + 1) <= self.slots.len() {
+            self.entries.push((key, probs.0, probs.1));
+            self.slots[slot] = self.entries.len() as u32;
+        }
+        probs
+    }
+}
+
+/// One silicon's immutable tables: everything [`DramChip::new`] derives
+/// from the profile alone, built once and shared by every chip of the
+/// same silicon. Each table sits behind its own `Arc` and the bundle
+/// lives inline in the chip, so the hot path indexes a table through one
+/// pointer, as it would a `Vec`.
+#[derive(Debug, Clone)]
+struct SiliconTables {
+    layout: Arc<BankLayout>,
+    /// Per-wordline static facts, indexed by wordline.
+    wl_static: Arc<[WlStatic]>,
+    /// Flattened swizzle map: physical bitline of `(col, bit)` at index
+    /// `col * rd_bits + bit`, covering all raw columns (including the
+    /// ECC parity region). Precomputed so the read/write hot loops do a
+    /// table load instead of per-bit swizzle arithmetic.
+    swz_table: Arc<[u32]>,
+    /// The retention-negligibility horizon (ps) at [`POWER_ON_C`].
+    power_on_horizon_ps: u64,
+}
+
 /// Aggregate command statistics, including the hidden double activations
 /// that the paper proposes as a power side channel (§VI-C).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -494,17 +635,12 @@ pub struct GroundTruth {
 pub struct DramChip {
     profile: ChipProfile,
     geom: BankGeometry,
-    layout: BankLayout,
     retention: RetentionModel,
     seed: u64,
     banks: Vec<BankState>,
-    /// Per-wordline static facts, indexed by wordline.
-    wl_static: Vec<WlStatic>,
-    /// Flattened swizzle map: physical bitline of `(col, bit)` at index
-    /// `col * rd_bits + bit`, covering all raw columns (including the
-    /// ECC parity region). Precomputed so the read/write hot loops do a
-    /// table load instead of per-bit swizzle arithmetic.
-    swz_table: Vec<u32>,
+    /// The silicon's immutable tables, shared with every
+    /// [`fresh`](Self::fresh) chip built from this one.
+    tables: SiliconTables,
     /// Cached retention-negligibility horizon (ps) at the current
     /// temperature: elapsed times at or below it provably keep the
     /// expected fail fraction under [`NEGLIGIBLE_P`].
@@ -532,6 +668,36 @@ impl DramChip {
             profile.hidden.edge_interval,
             &profile.hidden.composition,
         );
+        let wl_static = build_wl_static(&layout, &profile, geom.wordlines());
+        let rd_bits = profile.io_width.rd_bits();
+        let raw_cols = geom.row_bits / rd_bits;
+        let swz_table: Arc<[u32]> = (0..raw_cols)
+            .flat_map(|col| {
+                let swz = &profile.hidden.swizzle;
+                (0..rd_bits).map(move |bit| swz.bitline_of(col, bit).0)
+            })
+            .collect();
+        let power_on_horizon_ps =
+            RetentionModel::default().negligible_elapsed_ps(POWER_ON_C, NEGLIGIBLE_P);
+        let tables = SiliconTables {
+            layout: Arc::new(layout),
+            wl_static: wl_static.into(),
+            swz_table,
+            power_on_horizon_ps,
+        };
+        DramChip::power_on(profile, seed, tables)
+    }
+
+    /// A power-on chip of the same profile and seed — the same piece of
+    /// silicon, as [`new`](Self::new) would build it: 75 °C, no sink,
+    /// empty banks and samplers, clock at zero. It shares this chip's
+    /// immutable tables instead of rebuilding them, and nothing of this
+    /// chip's state carries over.
+    pub fn fresh(&self) -> DramChip {
+        DramChip::power_on(self.profile.clone(), self.seed, self.tables.clone())
+    }
+
+    fn power_on(profile: ChipProfile, seed: u64, tables: SiliconTables) -> DramChip {
         let sampler_cap = if profile.hidden.trr.enabled {
             profile.hidden.trr.sampler_entries
         } else {
@@ -543,32 +709,18 @@ impl DramChip {
                 ..BankState::default()
             })
             .collect();
-        let wl_static = build_wl_static(&layout, &profile, geom.wordlines());
-        let rd_bits = profile.io_width.rd_bits();
-        let raw_cols = geom.row_bits / rd_bits;
-        let swz_table: Vec<u32> = (0..raw_cols)
-            .flat_map(|col| {
-                let swz = &profile.hidden.swizzle;
-                (0..rd_bits).map(move |bit| swz.bitline_of(col, bit).0)
-            })
-            .collect();
-        let retention = RetentionModel::default();
-        let temperature_c = 75.0;
-        let ret_negligible_ps = retention.negligible_elapsed_ps(temperature_c, NEGLIGIBLE_P);
         DramChip {
-            geom,
-            layout,
-            retention,
+            geom: profile.bank_geometry(),
+            retention: RetentionModel::default(),
             seed,
             banks,
-            wl_static,
-            ret_negligible_ps,
+            ret_negligible_ps: tables.power_on_horizon_ps,
+            tables,
             now: Time::ZERO,
-            temperature_c,
+            temperature_c: POWER_ON_C,
             stats: ChipStats::default(),
             ref_counter: 0,
             sink: SinkSlot::empty(),
-            swz_table,
             profile,
         }
     }
@@ -640,6 +792,7 @@ impl DramChip {
 
     /// The hidden microarchitecture, for test verification only.
     pub fn ground_truth(&self) -> GroundTruth {
+        let layout = &self.tables.layout;
         GroundTruth {
             composition: self.profile.hidden.composition.clone(),
             edge_interval_wls: self.profile.hidden.edge_interval,
@@ -648,8 +801,8 @@ impl DramChip {
             remap: self.profile.hidden.remap,
             polarity: self.profile.hidden.polarity,
             swizzle: self.profile.hidden.swizzle.clone(),
-            subarray_heights: (0..self.layout.subarray_count())
-                .map(|i| self.layout.info(crate::geometry::SubarrayId(i)).height)
+            subarray_heights: (0..layout.subarray_count())
+                .map(|i| layout.info(crate::geometry::SubarrayId(i)).height)
                 .collect(),
             on_die_ecc: self.profile.hidden.on_die_ecc,
         }
@@ -924,7 +1077,7 @@ impl DramChip {
         let row = self.banks[bank as usize].row(open.wl.0);
         let mut out = 0u64;
         for bit in 0..rd_bits {
-            let bl = self.swz_table[wi(col * rd_bits + bit)];
+            let bl = self.tables.swz_table[wi(col * rd_bits + bit)];
             let v = match row {
                 Some(r) => r.data.get(base + bl),
                 None => default,
@@ -938,7 +1091,7 @@ impl DramChip {
             let mut parity = 0u8;
             for j in 0..crate::ecc::PARITY_BITS {
                 let (pc, pb) = crate::ecc::parity_cell(data_cols, rd_bits, col, j);
-                let bl = self.swz_table[wi(pc * rd_bits + pb)];
+                let bl = self.tables.swz_table[wi(pc * rd_bits + pb)];
                 let v = match row {
                     Some(r) => r.data.get(base + bl),
                     None => default,
@@ -972,7 +1125,7 @@ impl DramChip {
         // Collect swizzle targets without holding a borrow conflict.
         let mut targets: Vec<(u32, bool)> = (0..rd_bits)
             .map(|bit| {
-                let bl = self.swz_table[wi(col * rd_bits + bit)];
+                let bl = self.tables.swz_table[wi(col * rd_bits + bit)];
                 (base + bl, data & (1 << bit) != 0)
             })
             .collect();
@@ -984,7 +1137,7 @@ impl DramChip {
             let parity = crate::ecc::encode((data & u64::from(u32::MAX)) as u32);
             for j in 0..crate::ecc::PARITY_BITS {
                 let (pc, pb) = crate::ecc::parity_cell(data_cols, rd_bits, col, j);
-                let bl = self.swz_table[wi(pc * rd_bits + pb)];
+                let bl = self.tables.swz_table[wi(pc * rd_bits + pb)];
                 targets.push((base + bl, parity & (1 << j) != 0));
             }
         }
@@ -1107,9 +1260,10 @@ impl DramChip {
         let n = self.profile.hidden.trr.mitigations_per_ref;
         let hottest = self.banks[bank as usize].sampler.take_hottest(n);
         for wl in hottest {
-            let mut targets = self.layout.neighbors_at(Wordline(wl), 1);
-            if let Some(c) = self.layout.companion_wordline(Wordline(wl)) {
-                targets.extend(self.layout.neighbors_at(c, 1));
+            let layout = &self.tables.layout;
+            let mut targets = layout.neighbors_at(Wordline(wl), 1);
+            if let Some(c) = layout.companion_wordline(Wordline(wl)) {
+                targets.extend(layout.neighbors_at(c, 1));
             }
             for v in targets {
                 self.settle_and_restore(bank, v, at)?;
@@ -1126,13 +1280,13 @@ impl DramChip {
 
     #[inline]
     fn polarity_of(&self, wl: Wordline) -> CellPolarity {
-        self.wl_static[wi(wl.0)].polarity
+        self.tables.wl_static[wi(wl.0)].polarity
     }
 
     /// The tandem companion of a wordline, from the static table.
     #[inline]
     fn companion_of(&self, wl: Wordline) -> Option<Wordline> {
-        match self.wl_static[wi(wl.0)].companion {
+        match self.tables.wl_static[wi(wl.0)].companion {
             NO_COMPANION => None,
             c => Some(Wordline(c)),
         }
@@ -1174,7 +1328,7 @@ impl DramChip {
     /// Current counters of the wordline's aggressors, slot-aligned to
     /// [`WlStatic::aggr`]. Unused slots stay zeroed and are never read.
     fn snapshot_for(&self, bank: u32, wl: Wordline) -> [WlActivity; MAX_AGGRESSORS] {
-        let ws = &self.wl_static[wi(wl.0)];
+        let ws = &self.tables.wl_static[wi(wl.0)];
         let b = &self.banks[bank as usize];
         let mut snap = [WlActivity::default(); MAX_AGGRESSORS];
         for (slot, a) in snap.iter_mut().zip(&ws.aggr).take(usize::from(ws.n_aggr)) {
@@ -1199,7 +1353,7 @@ impl DramChip {
     ) -> Result<(), CommandError> {
         let bi = bank as usize;
         let w = wi(wl.0);
-        let ws = self.wl_static[w];
+        let ws = self.tables.wl_static[w];
         self.ensure_rows_table(bank);
         if self.banks[bi].row(wl.0).is_none() {
             // The row physically existed since t = 0 holding the default
@@ -1334,7 +1488,6 @@ impl DramChip {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn apply_physics(
         &self,
         bank: u32,
@@ -1346,21 +1499,30 @@ impl DramChip {
     ) -> u64 {
         let mut flipped = 0u64;
         let model = &self.profile.hidden.disturb;
-        let ws = &self.wl_static[wi(wl.0)];
+        let ws = &self.tables.wl_static[wi(wl.0)];
         let polarity = ws.polarity;
         let is_edge = ws.is_edge;
         let cells = self.geom.cells_per_wordline();
         let orig = row.data.clone();
 
-        // Aggressor row data (default pattern when never touched).
-        let aggr_rows: Vec<(Wordline, f64, WlActivity, RowBits)> = aggr
+        // Aggressor row data (default pattern when never touched), with
+        // everything that stays fixed across this settle's cells.
+        let mut aggr_rows: Vec<SettleAggressor> = aggr
             .iter()
-            .map(|(a, scale, d)| {
-                let bits = self.banks[bank as usize]
+            .map(|(a, scale, d)| SettleAggressor {
+                dir: if a.0 > wl.0 {
+                    AggressorDir::Upper
+                } else {
+                    AggressorDir::Lower
+                },
+                dose_scale: *scale,
+                dose_h: d.acts as f64 + model.companion_dose * d.comp_acts as f64,
+                dose_p: d.on_ns + model.companion_dose * d.comp_on_ns,
+                bits: self.banks[bank as usize]
                     .row(a.0)
                     .map(|r| r.data.clone())
-                    .unwrap_or_else(|| self.default_row(*a));
-                (*a, *scale, *d, bits)
+                    .unwrap_or_else(|| self.default_row(*a)),
+                memo: FlipMemo::new(cells),
             })
             .collect();
 
@@ -1400,19 +1562,14 @@ impl DramChip {
 
             let mut survive_h = 1.0f64;
             let mut survive_p = 1.0f64;
-            for (a, scale, d, a_bits) in &aggr_rows {
-                let dir = if a.0 > wl.0 {
-                    AggressorDir::Upper
-                } else {
-                    AggressorDir::Lower
-                };
-                let gate = gate_type(wl, Bitline(bl), dir);
+            for ag in &mut aggr_rows {
+                let gate = gate_type(wl, Bitline(bl), ag.dir);
 
                 let mut aggr_same = [None; 5];
                 for (i, off) in [-2i64, -1, 0, 1, 2].iter().enumerate() {
                     if let Some(n) = bl_offset(bl, *off, cells) {
                         if self.geom.same_mat(Bitline(bl), Bitline(n)) {
-                            aggr_same[i] = Some(a_bits.get(n) == bit);
+                            aggr_same[i] = Some(ag.bits.get(n) == bit);
                         }
                     }
                 }
@@ -1424,15 +1581,17 @@ impl DramChip {
                     vic_neighbor_differs: vic_diff,
                     aggr_same,
                     edge: is_edge,
-                    aggr0_data: a_bits.get(bl),
-                    dose_scale: *scale,
+                    aggr0_data: ag.bits.get(bl),
+                    dose_scale: ag.dose_scale,
                 };
-                let m_h = model.dose_multiplier(Mechanism::Hammer, &ctx);
-                let m_p = model.dose_multiplier(Mechanism::Press, &ctx);
-                let dose_h = d.acts as f64 + model.companion_dose * d.comp_acts as f64;
-                let dose_p = d.on_ns + model.companion_dose * d.comp_on_ns;
-                let p_h = model.flip_probability(Mechanism::Hammer, dose_h, m_h);
-                let p_p = model.flip_probability(Mechanism::Press, dose_p, m_p);
+                let (p_h, p_p) = ag.memo.get_or_insert_with(&ctx, || {
+                    let m_h = model.dose_multiplier(Mechanism::Hammer, &ctx);
+                    let m_p = model.dose_multiplier(Mechanism::Press, &ctx);
+                    (
+                        model.flip_probability(Mechanism::Hammer, ag.dose_h, m_h),
+                        model.flip_probability(Mechanism::Press, ag.dose_p, m_p),
+                    )
+                });
                 survive_h *= 1.0 - p_h;
                 survive_p *= 1.0 - p_p;
             }
@@ -1461,7 +1620,7 @@ impl DramChip {
         src: Wordline,
         dst: Wordline,
     ) -> Result<(), CommandError> {
-        let relation = self.layout.copy_relation(src, dst);
+        let relation = self.tables.layout.copy_relation(src, dst);
         if relation == CopyRelation::Unrelated || src == dst {
             return Ok(());
         }
@@ -2124,6 +2283,86 @@ mod tests {
             read_row(&mut c, 0, 19)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// `fresh()` is `new()` with the tables shared: whatever the template
+    /// chip went through (writes, bursts, a temperature change, a sink),
+    /// its fresh chip answers a seeded command stream exactly like a
+    /// newly built one.
+    #[test]
+    fn fresh_chip_behaves_like_a_new_one() {
+        use crate::rng::StreamRng;
+        use crate::sink::{ChipEvent, CommandSink};
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Clone, Default)]
+        struct Log(Arc<Mutex<Vec<String>>>);
+        impl CommandSink for Log {
+            fn record(&mut self, ev: ChipEvent<'_>) {
+                self.0.lock().unwrap().push(format!("{ev:?}"));
+            }
+        }
+
+        /// Writes, bursts, reads, and long idle gaps closed by an RFM or a
+        /// sliced REF, so retention, the sampler and the REF pointer all
+        /// shape what the reads see.
+        fn drive(c: &mut DramChip, seed: u64) -> Vec<String> {
+            let mut rng = StreamRng::new(seed);
+            let mut out = Vec::new();
+            for _ in 0..48 {
+                let row = 8 + rng.next_below(48) as u32;
+                let t = c.now() + c.timing().trp;
+                match rng.next_below(5) {
+                    0 | 1 => {
+                        write_row(c, 0, row, rng.next_u64());
+                    }
+                    2 => {
+                        let n = 100_000 + rng.next_below(1_000_000);
+                        let end = c.activate_burst(0, row, n, Time::from_ns(35), t);
+                        out.push(format!("{end:?}"));
+                    }
+                    3 => {
+                        let idle = t + Time::from_ms(100_000 + rng.next_below(500_000));
+                        let cmd = if rng.next_below(2) == 0 {
+                            Command::Rfm { bank: 0 }
+                        } else {
+                            Command::Refresh
+                        };
+                        out.push(format!("{:?}", c.issue(cmd, idle)));
+                    }
+                    _ => out.push(format!("{:?}", read_row(c, 0, row))),
+                }
+            }
+            out
+        }
+
+        for profile in [
+            ChipProfile::test_small().with_trr(2),
+            ChipProfile::test_small_coupled(),
+        ] {
+            let mut template = DramChip::new(profile.clone(), 7);
+            template.set_sink(Box::new(Log::default()));
+            drive(&mut template, 1);
+            template.set_temperature(95.0);
+            drive(&mut template, 2);
+
+            let mut fresh = template.fresh();
+            let mut new = DramChip::new(profile, 7);
+            assert!(!fresh.has_sink());
+            let (fresh_log, new_log) = (Log::default(), Log::default());
+            fresh.set_sink(Box::new(fresh_log.clone()));
+            new.set_sink(Box::new(new_log.clone()));
+            assert_eq!(drive(&mut fresh, 3), drive(&mut new, 3));
+            assert_eq!(fresh.now(), new.now());
+            assert_eq!(fresh.stats(), new.stats());
+            assert!(new.stats().bitflips > 0, "the stream must flip bits");
+            assert_eq!(fresh.temperature(), new.temperature());
+            assert_eq!(
+                format!("{:?}", fresh.ground_truth()),
+                format!("{:?}", new.ground_truth())
+            );
+            assert_eq!(*fresh_log.0.lock().unwrap(), *new_log.0.lock().unwrap());
+        }
     }
 
     #[test]

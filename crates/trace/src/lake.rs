@@ -229,10 +229,53 @@ pub struct IndexedTrace {
     fallback: Option<TraceError>,
 }
 
+/// What verifying a trace file's bytes found: a payload that opens
+/// seekably through its index, or a trace that had to be decoded whole.
+enum Verified {
+    /// A healthy v2 container whose payload is `bytes[..payload_len]`.
+    Seekable {
+        header: TraceHeader,
+        payload_len: usize,
+        index: TraceIndex,
+    },
+    /// A v1 stream or an index fallback, fully decoded.
+    Decoded(IndexedTrace),
+}
+
 impl IndexedTrace {
     /// Opens a trace file from its bytes; see the type docs for the
-    /// fallback ladder. Never panics.
+    /// fallback ladder. Never panics. A seekable open copies the payload;
+    /// [`from_vec`](Self::from_vec) keeps an owned buffer instead.
     pub fn from_bytes(bytes: &[u8]) -> Result<IndexedTrace, TraceError> {
+        Ok(match IndexedTrace::verify(bytes)? {
+            Verified::Seekable {
+                header,
+                payload_len,
+                index,
+            } => IndexedTrace::from_parts(header, bytes[..payload_len].to_vec(), index),
+            Verified::Decoded(trace) => trace,
+        })
+    }
+
+    /// [`from_bytes`](Self::from_bytes) over a buffer the caller gives
+    /// up: a seekable open keeps `bytes` itself, cut to its payload, so
+    /// the file is never held twice.
+    pub fn from_vec(mut bytes: Vec<u8>) -> Result<IndexedTrace, TraceError> {
+        Ok(match IndexedTrace::verify(&bytes)? {
+            Verified::Seekable {
+                header,
+                payload_len,
+                index,
+            } => {
+                bytes.truncate(payload_len);
+                IndexedTrace::from_parts(header, bytes, index)
+            }
+            Verified::Decoded(trace) => trace,
+        })
+    }
+
+    /// The one validation path behind both constructors.
+    fn verify(bytes: &[u8]) -> Result<Verified, TraceError> {
         match split_container(bytes) {
             Container::V2 { payload, index } => {
                 let mut r = Reader::new(payload);
@@ -252,23 +295,32 @@ impl IndexedTrace {
                 match checked {
                     Ok(()) => {
                         index.verify_payload(payload)?;
-                        Ok(IndexedTrace::from_parts(header, payload.to_vec(), index))
+                        Ok(Verified::Seekable {
+                            header,
+                            payload_len: payload.len(),
+                            index,
+                        })
                     }
                     // The index contradicts the payload; trust the payload.
                     Err(error) => match Trace::from_bytes(payload) {
-                        Ok(trace) => Ok(IndexedTrace::synthesize(trace, Some(error))),
+                        Ok(trace) => Ok(Verified::Decoded(IndexedTrace::synthesize(
+                            trace,
+                            Some(error),
+                        ))),
                         Err(_) => Err(error),
                     },
                 }
             }
-            Container::V1(payload) => {
-                Trace::from_bytes(payload).map(|t| IndexedTrace::synthesize(t, None))
-            }
+            Container::V1(payload) => Trace::from_bytes(payload)
+                .map(|t| Verified::Decoded(IndexedTrace::synthesize(t, None))),
             Container::DamagedIndex {
                 payload: Some(payload),
                 error,
             } => match Trace::from_bytes(payload) {
-                Ok(trace) => Ok(IndexedTrace::synthesize(trace, Some(error))),
+                Ok(trace) => Ok(Verified::Decoded(IndexedTrace::synthesize(
+                    trace,
+                    Some(error),
+                ))),
                 Err(_) => Err(error),
             },
             Container::DamagedIndex {
@@ -515,6 +567,30 @@ mod tests {
         }
         // A v1 stream classifies as V1.
         assert!(matches!(split_container(&v1), Container::V1(_)));
+    }
+
+    #[test]
+    fn owned_open_matches_borrowed_open() {
+        let trace = marked_trace();
+        let v1 = trace.to_bytes();
+        let v2 = trace.to_bytes_indexed();
+        // Every outcome of the ladder: v1, v2, every truncation, and a
+        // flip of every footer byte (errors and index fallbacks).
+        let mut inputs = vec![v1.clone(), v2.clone()];
+        inputs.extend((0..v2.len()).map(|len| v2[..len].to_vec()));
+        inputs.extend((v1.len()..v2.len()).map(|i| {
+            let mut bytes = v2.clone();
+            bytes[i] ^= 0xff;
+            bytes
+        }));
+        for bytes in inputs {
+            let borrowed = format!("{:?}", IndexedTrace::from_bytes(&bytes));
+            assert_eq!(format!("{:?}", IndexedTrace::from_vec(bytes)), borrowed);
+        }
+        // A seekable owned open keeps only the payload.
+        let owned = IndexedTrace::from_vec(v2).expect("opens");
+        assert!(owned.is_indexed());
+        assert_eq!(owned.payload, v1);
     }
 
     #[test]

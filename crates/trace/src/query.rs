@@ -377,7 +377,7 @@ struct Held {
 /// listed file. A file whose stamp (length and modification time, plus
 /// change time, device and inode on unix) equals the one it was read
 /// under is answered from the [`IndexedTrace`] opened then; any other
-/// file is read and fully verified through [`IndexedTrace::from_bytes`]
+/// file is read and fully verified through [`IndexedTrace::from_vec`]
 /// first. Entries for files no longer listed are dropped, and a file
 /// that fails to open leaves no entry behind, so a report only ever
 /// uses bytes that passed verification under the file's current stamp.
@@ -458,7 +458,7 @@ impl Lake {
         }
         self.opens.fetch_add(1, Ordering::Relaxed);
         let opened = read_stamped(file).and_then(|(stamp, settled, bytes)| {
-            let trace = IndexedTrace::from_bytes(&bytes).map_err(|e| e.to_string())?;
+            let trace = IndexedTrace::from_vec(bytes).map_err(|e| e.to_string())?;
             Ok(Held {
                 stamp,
                 settled,

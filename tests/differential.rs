@@ -10,11 +10,21 @@
 //! `preset_digests` (dossier digests pinned before the refactor), a pass
 //! means no consumer of any chip output can tell the implementations
 //! apart.
+//!
+//! The AIB fuzz aims at the per-cell disturbance pass: seeded patterns
+//! around seeded aggressors (edge-subarray rows and their tandem
+//! companions included), hammer and press bursts of seeded doses, and a
+//! read of every written row, so every flip-probability context the
+//! victims see is checked against the oracle's uncached evaluation.
 
 use dramscope::sim::refchip::RefChip;
 use dramscope::sim::rng::StreamRng;
-use dramscope::sim::{ChipProfile, Command, DramChip, SharedMetrics, Tee, Time};
+use dramscope::sim::{
+    BankLayout, ChipProfile, ChipStats, Command, CommandError, DramChip, ReadData, SharedMetrics,
+    SubarrayId, Tee, Time, Wordline,
+};
 use dramscope::trace::{replay_on_chip, replay_on_chip_trusted, SharedRecorder, Trace};
+use std::fmt::Debug;
 
 /// One operation of the randomized workload. Timestamps for bursts are
 /// resolved at apply time (a burst's end time feeds the next op), so ops
@@ -166,5 +176,235 @@ fn flat_and_oracle_runs_leave_identical_artifacts() {
             replay_on_chip_trusted(&oracle.trace, &profile).expect("trusted replay succeeds");
         assert_eq!(trusted.commands, verified.commands, "{name}");
         assert_eq!(trusted.bitflips, verified.bitflips, "{name}");
+    }
+}
+
+/// One step of the AIB fuzz, in pin-level addresses.
+#[derive(Debug, Clone)]
+enum AibOp {
+    /// Write one word per column into a row.
+    Write {
+        bank: u32,
+        row: u32,
+        words: Vec<u64>,
+    },
+    /// `count` activations of `row`, each held open for `each_on`.
+    Burst {
+        bank: u32,
+        row: u32,
+        count: u64,
+        each_on: Time,
+    },
+    /// Read every column of a row.
+    Read {
+        bank: u32,
+        row: u32,
+    },
+    RefreshWindow,
+}
+
+/// Aggressors drawn per profile; half of them sit in edge subarrays.
+const AIB_AGGRESSORS: usize = 8;
+
+/// The seeded AIB workload for one profile: patterns written to every
+/// row within ±3 wordlines of each aggressor and of its tandem
+/// companion, then two rounds of bursts, a read of every written row and
+/// a refresh window. Targets are chosen in wordline space from the
+/// chip's ground truth and mapped back to pin rows, so remapped and
+/// coupled chips are attacked where it counts.
+fn aib_workload(profile: &ChipProfile, seed: u64) -> Vec<AibOp> {
+    let truth = DramChip::new(profile.clone(), seed).ground_truth();
+    let geom = profile.bank_geometry();
+    let wls = geom.wordlines();
+    let layout = BankLayout::build(wls, truth.edge_interval_wls, &truth.composition);
+    let edges: Vec<SubarrayId> = (0..layout.subarray_count())
+        .map(SubarrayId)
+        .filter(|&sa| layout.info(sa).is_edge())
+        .collect();
+    let pin = |wl: u32, half: u32| truth.remap.to_logical(geom.unfold(Wordline(wl), half)).0;
+    let below = |rng: &mut StreamRng, bound: u32| -> u32 {
+        u32::try_from(rng.next_below(u64::from(bound))).expect("bound fits u32")
+    };
+    let cols = profile.cols_per_row() as usize;
+    let tras = profile.timing.tras;
+    let mut rng = StreamRng::new(seed ^ 0xA1B_F022);
+
+    let mut targets: Vec<(u32, u32)> = Vec::new();
+    let mut bursts = Vec::new();
+    for n in 0..AIB_AGGRESSORS {
+        let bank = below(&mut rng, profile.banks);
+        let aggressor = if n % 2 == 0 {
+            below(&mut rng, wls)
+        } else {
+            let edge = layout.info(edges[rng.next_below(edges.len() as u64) as usize]);
+            edge.start_wl + below(&mut rng, edge.height)
+        };
+        let companion = layout.companion_wordline(Wordline(aggressor));
+        for centre in std::iter::once(aggressor).chain(companion.map(|c| c.0)) {
+            for wl in centre.saturating_sub(3)..=(centre + 3).min(wls - 1) {
+                for half in 0..geom.rows_per_wordline {
+                    if !targets.contains(&(bank, pin(wl, half))) {
+                        targets.push((bank, pin(wl, half)));
+                    }
+                }
+            }
+        }
+        let row = pin(aggressor, below(&mut rng, geom.rows_per_wordline));
+        for _ in 0..2 {
+            bursts.push(if rng.next_below(2) == 0 {
+                AibOp::Burst {
+                    bank,
+                    row,
+                    count: 200_000 + rng.next_below(2_800_000),
+                    each_on: tras,
+                }
+            } else {
+                AibOp::Burst {
+                    bank,
+                    row,
+                    count: 2_000 + rng.next_below(8_000),
+                    each_on: Time::from_ns(7_800 * (1 + rng.next_below(4))),
+                }
+            });
+        }
+    }
+
+    let mut ops: Vec<AibOp> = targets
+        .iter()
+        .map(|&(bank, row)| {
+            let words = match rng.next_below(3) {
+                0 => (0..cols).map(|_| rng.next_u64()).collect(),
+                1 => vec![rng.next_u64(); cols],
+                _ => vec![if rng.next_below(2) == 0 { 0 } else { u64::MAX }; cols],
+            };
+            AibOp::Write { bank, row, words }
+        })
+        .collect();
+    for round in 0..2 {
+        ops.extend(bursts.iter().skip(round).step_by(2).cloned());
+        ops.extend(targets.iter().map(|&(bank, row)| AibOp::Read { bank, row }));
+        ops.push(AibOp::RefreshWindow);
+    }
+    ops
+}
+
+/// Everything one AIB run lets an observer see.
+struct AibRun {
+    issues: Vec<Result<Option<ReadData>, CommandError>>,
+    bursts: Vec<Result<Time, CommandError>>,
+    refreshes: Vec<Result<(), CommandError>>,
+    now: Time,
+    stats: ChipStats,
+    metrics_snapshot: String,
+}
+
+/// Drives the AIB workload through either chip implementation (the
+/// oracle shares no trait with the production chip, hence a macro).
+macro_rules! aib_run {
+    ($chip_ty:ty, $profile:expr, $seed:expr, $ops:expr) => {{
+        let profile: &ChipProfile = $profile;
+        let metrics = SharedMetrics::new();
+        let mut chip = <$chip_ty>::new(profile.clone(), $seed);
+        chip.set_sink(Box::new(metrics.clone()));
+        let timing = *chip.timing();
+        let cols = profile.cols_per_row();
+        let mut run = AibRun {
+            issues: Vec::new(),
+            bursts: Vec::new(),
+            refreshes: Vec::new(),
+            now: Time::ZERO,
+            stats: ChipStats::default(),
+            metrics_snapshot: String::new(),
+        };
+        let mut t = Time::from_ns(100);
+        for op in $ops {
+            match op {
+                AibOp::Write { bank, row, .. } | AibOp::Read { bank, row } => {
+                    let (bank, row) = (*bank, *row);
+                    run.issues
+                        .push(chip.issue(Command::Activate { bank, row }, t));
+                    let mut tc = t + timing.trcd;
+                    for col in 0..cols {
+                        let cmd = match op {
+                            AibOp::Write { words, .. } => Command::Write {
+                                bank,
+                                col,
+                                data: words[col as usize],
+                            },
+                            _ => Command::Read { bank, col },
+                        };
+                        run.issues.push(chip.issue(cmd, tc));
+                        tc += timing.tck;
+                    }
+                    let tp = tc.max(t + timing.tras);
+                    run.issues.push(chip.issue(Command::Precharge { bank }, tp));
+                    t = tp + timing.trp;
+                }
+                AibOp::Burst {
+                    bank,
+                    row,
+                    count,
+                    each_on,
+                } => {
+                    let end = chip.activate_burst(*bank, *row, *count, *each_on, t);
+                    if let Ok(end) = end {
+                        t = end;
+                    }
+                    run.bursts.push(end);
+                }
+                AibOp::RefreshWindow => {
+                    run.refreshes.push(chip.refresh_window(t));
+                    t += timing.trfc;
+                }
+            }
+        }
+        chip.clear_sink();
+        run.now = chip.now();
+        run.stats = chip.stats();
+        run.metrics_snapshot = metrics.take_registry().to_json_lines();
+        run
+    }};
+}
+
+/// Fails at the first position where two result streams differ.
+fn assert_same<T: PartialEq + Debug>(label: &str, flat: &[T], oracle: &[T]) {
+    assert_eq!(flat.len(), oracle.len(), "{label}: lengths differ");
+    if let Some(i) = (0..flat.len()).find(|&i| flat[i] != oracle[i]) {
+        panic!("{label} #{i}: flat {:?} != oracle {:?}", flat[i], oracle[i]);
+    }
+}
+
+#[test]
+fn flat_and_oracle_agree_on_seeded_aib_attacks() {
+    for (name, profile) in [
+        ("small", ChipProfile::test_small()),
+        ("interleaved", ChipProfile::test_small_interleaved()),
+        ("coupled", ChipProfile::test_small_coupled()),
+        ("ecc", ChipProfile::test_small().with_on_die_ecc()),
+    ] {
+        let seed = 0xA1B ^ name.len() as u64;
+        let ops = aib_workload(&profile, seed);
+        let flat: AibRun = aib_run!(DramChip, &profile, seed, &ops);
+        let oracle: AibRun = aib_run!(RefChip, &profile, seed, &ops);
+
+        assert_same(&format!("{name}: issue"), &flat.issues, &oracle.issues);
+        assert_same(&format!("{name}: burst"), &flat.bursts, &oracle.bursts);
+        assert_same(
+            &format!("{name}: refresh"),
+            &flat.refreshes,
+            &oracle.refreshes,
+        );
+        assert_eq!(flat.now, oracle.now, "{name}: clocks diverged");
+        assert_eq!(flat.stats, oracle.stats, "{name}: stats diverged");
+        assert_eq!(
+            flat.metrics_snapshot, oracle.metrics_snapshot,
+            "{name}: metrics snapshots diverged"
+        );
+        // The workload must actually reach the disturbance pass.
+        assert!(flat.stats.bitflips > 0, "{name}: no bitflips");
+        assert!(
+            flat.issues.iter().all(Result::is_ok) && flat.bursts.iter().all(Result::is_ok),
+            "{name}: the workload issues only legal commands"
+        );
     }
 }

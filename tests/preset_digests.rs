@@ -10,7 +10,7 @@
 //!
 //! The fast test covers the four small test profiles and runs in the
 //! tier-1 debug suite; the `#[ignore]`d test extends the pin to all 16
-//! Table I presets and runs in release from the scheduled perf workflow.
+//! Table I presets and runs in release on every CI run.
 //!
 //! Regenerate after an *intentional* model change with:
 //!
@@ -103,8 +103,7 @@ fn small_preset_digests_match_fixture() {
 }
 
 /// Exhaustive pin over every bundled Table I preset. Expensive, so it is
-/// `#[ignore]`d from the debug tier-1 suite; the scheduled perf workflow
-/// runs it in release.
+/// `#[ignore]`d from the debug tier-1 suite; CI runs it in release.
 #[test]
 #[ignore = "exhaustive; run in release: cargo test --release --test preset_digests -- --ignored"]
 fn table1_preset_digests_match_fixture() {
